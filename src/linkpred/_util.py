@@ -14,9 +14,3 @@ def mirror_upper(matrix: np.ndarray) -> np.ndarray:
     matrix[lower] = matrix.T[lower]
     return matrix
 
-
-def sup_norm_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest absolute entrywise difference between two matrices."""
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))

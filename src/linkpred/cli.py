@@ -254,8 +254,8 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _ranked_nonedges(graph, values: np.ndarray):
-    # all non-edges sorted by descending score, ties by (i, j)
+def _ranked_nonedges(graph, values: np.ndarray, k: int):
+    # the k best non-edges by descending score, ties by (i, j)
     n = graph.n
     adjacent = np.zeros((n, n), dtype=bool)
     if graph.m_edges:
@@ -263,9 +263,17 @@ def _ranked_nonedges(graph, values: np.ndarray):
     upper_i, upper_j = np.triu_indices(n, 1)
     keep = ~adjacent[upper_i, upper_j]
     ii, jj = upper_i[keep], upper_j[keep]
-    scores = values[ii, jj]
-    order = np.lexsort((jj, ii, -scores))
-    return ii[order], jj[order], scores[order]
+    neg = -values[ii, jj]
+    k = max(0, min(k, len(neg)))
+    if 0 < k < len(neg):
+        # keep every pair scoring at or above the k-th best, so ties at the
+        # cut are ordered by (i, j) like the rest; NaN sorts last in both
+        # partition and lexsort, and compares false here, so it stays
+        cut = np.partition(neg, k - 1)[k - 1]
+        top = ~(neg > cut)
+        ii, jj, neg = ii[top], jj[top], neg[top]
+    order = np.lexsort((jj, ii, neg))[:k]
+    return ii[order], jj[order], -neg[order]
 
 
 def cmd_predict(opts: dict) -> int:
@@ -280,10 +288,9 @@ def cmd_predict(opts: dict) -> int:
         np.savetxt(opts["dump_sim"], sim.values, delimiter=",", fmt="%.12g")
     if opts.get("dump_scores"):
         np.savetxt(opts["dump_scores"], scores.values, delimiter=",", fmt="%.12g")
-    ii, jj, ss = _ranked_nonedges(graph, scores.values)
-    k = min(opts["top_k"], len(ss))
+    ii, jj, ss = _ranked_nonedges(graph, scores.values, opts["top_k"])
     lines = ["i,j,score"]
-    lines.extend(f"{ii[t]},{jj[t]},{format(ss[t], '.12g')}" for t in range(k))
+    lines.extend(f"{i},{j},{format(s, '.12g')}" for i, j, s in zip(ii, jj, ss))
     text = "\n".join(lines) + "\n"
     if opts.get("out"):
         _write_text(opts["out"], text)

@@ -73,6 +73,25 @@ def oracle_randwalk_step(scores, adj: list, sim, c: float) -> np.ndarray:
     return np.array(nxt)
 
 
+def oracle_dense_sweep(scores: np.ndarray, adjacency: np.ndarray, prob: np.ndarray,
+                       c: float) -> np.ndarray:
+    """One weighted sweep in dense matrix algebra: c (P S A + A S P) / D.
+
+    D[a, b] = deg(b) W(a) + deg(a) W(b) with W the row sums of P; pairs with
+    D = 0 score 0 and the diagonal is 1. With P = A this is the classic
+    unweighted sweep.
+    """
+    deg = adjacency.sum(axis=1)
+    node_sum = prob.sum(axis=1)
+    denom = np.outer(node_sum, deg) + np.outer(deg, node_sum)
+    numerator = prob @ scores @ adjacency + adjacency @ scores @ prob
+    out = np.zeros_like(numerator)
+    positive = denom > 0
+    out[positive] = c * numerator[positive] / denom[positive]
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
 def oracle_local_score(kind: str, adj: list, x: int, y: int) -> float:
     kx, ky = len(adj[x]), len(adj[y])
     z = len(adj[x] & adj[y])

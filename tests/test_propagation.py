@@ -7,12 +7,33 @@ from linkpred import (AttributedGraph, ConfigError, PropagationConfig, ScoreMatr
                       matrix_form_step, randwalk_init, randwalk_solve, randwalk_step,
                       similarity_matrix, simrank_classic, transmission_weights)
 from _helpers import adjacency_sets, make_gnp
-from _oracles import oracle_randwalk_step, oracle_sim_matrix, oracle_simrank, oracle_simrank_step
+from _oracles import (oracle_dense_sweep, oracle_randwalk_step, oracle_sim_matrix, oracle_simrank,
+                      oracle_simrank_step)
 
 
 def _weighted_setup(graph):
     sim = similarity_matrix(graph)
     return sim, transmission_weights(graph, sim)
+
+
+def _sparse_graph(n: int, seed: int) -> AttributedGraph:
+    # about four neighbors per node; the last three nodes stay isolated and
+    # every 97th node has an all-zero attribute row (edges but no weight)
+    rng = np.random.default_rng(seed)
+    core = max(n - 3, 1)
+    ii, jj = np.triu_indices(core, 1)
+    keep = rng.random(ii.size) < 4.0 / core
+    attrs = rng.random((n, 4))
+    attrs[::97] = 0.0
+    return AttributedGraph.build(n, np.column_stack([ii[keep], jj[keep]]), attributes=attrs)
+
+
+def _symmetric_scores(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    prev = rng.random((n, n))
+    prev = (prev + prev.T) / 2
+    np.fill_diagonal(prev, 1.0)
+    return prev
 
 
 class TestPropagationConfig:
@@ -149,11 +170,68 @@ class TestMatrixFormStep:
         fast = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
         assert np.abs(direct.values - fast.values).max() < 1e-10
 
+    def test_subnormal_weight_matches_direct_step(self):
+        # sim(0, 1) = 1e-310 makes D(0, 1) subnormal; c / D would overflow
+        attrs = np.array([[1.0, 0.0], [1e-310, 1.0], [1.0, 1.0]])
+        g = AttributedGraph.build(3, [(0, 1)], attributes=attrs)
+        _, weights = _weighted_setup(g)
+        prev = _symmetric_scores(3, seed=0)
+        direct = randwalk_step(ScoreMatrix(values=prev), g, weights, 0.8)
+        fast = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
+        assert np.isfinite(fast.values).all()
+        assert np.abs(direct.values - fast.values).max() < 1e-12
+
     def test_edgeless_graph_keeps_identity(self):
         g = AttributedGraph.build(4, [], attributes=np.ones((4, 2)))
         _, weights = _weighted_setup(g)
         stepped = matrix_form_step(ScoreMatrix(values=np.eye(4)), g, weights, 0.8)
         assert np.array_equal(stepped.values, np.eye(4))
+
+
+class TestMultiTileSweep:
+    """A single node, one full tile, one row spilling into a second tile, three tiles."""
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 600])
+    def test_matrix_form_matches_dense_oracle(self, n):
+        g = _sparse_graph(n, seed=n)
+        _, weights = _weighted_setup(g)
+        prev = _symmetric_scores(n, seed=n + 1)
+        stepped = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8).values
+        expected = oracle_dense_sweep(prev, g.adjacency_matrix().toarray(),
+                                      weights.edge_prob.toarray(), 0.8)
+        assert np.abs(stepped - expected).max() < 1e-12
+        assert np.array_equal(stepped, stepped.T)
+        assert (np.diag(stepped) == 1.0).all()
+        assert (stepped[:, -3:][~np.eye(n, dtype=bool)[:, -3:]] == 0.0).all()
+
+    @pytest.mark.parametrize("n", [257, 600])
+    def test_solver_deltas_follow_dense_iterates(self, n):
+        g = _sparse_graph(n, seed=n + 2)
+        sim, weights = _weighted_setup(g)
+        scores = randwalk_solve(g, PropagationConfig())
+        adjacency = g.adjacency_matrix().toarray()
+        prob = weights.edge_prob.toarray()
+        current = randwalk_init(g, sim, "attrsim").values
+        expected = []
+        for _ in range(scores.iterations):
+            nxt = oracle_dense_sweep(current, adjacency, prob, 0.8)
+            expected.append(np.abs(nxt - current).max())
+            current = nxt
+        assert np.abs(np.array(scores.deltas) - np.array(expected)).max() < 1e-12
+        assert np.abs(scores.values - current).max() < 1e-12
+        assert np.array_equal(scores.values, scores.values.T)
+
+    def test_simrank_runs_the_same_sweep(self):
+        g = _sparse_graph(300, seed=9)
+        cfg = PropagationConfig(tolerance=1e-14, max_iterations=6)
+        scores = simrank_classic(g, cfg)
+        adjacency = g.adjacency_matrix().toarray()
+        current = np.eye(g.n)
+        for _ in range(cfg.max_iterations):
+            current = oracle_dense_sweep(current, adjacency, adjacency, cfg.c)
+        assert scores.iterations == cfg.max_iterations
+        assert np.abs(scores.values - current).max() < 1e-12
+        assert np.array_equal(scores.values, scores.values.T)
 
 
 class TestRandwalkSolve:
