@@ -23,7 +23,8 @@ from .baselines import BaselineConfig
 from .errors import ConfigError, DataError
 from .evaluation import (METHOD_NAMES, ExperimentConfig, canonical_method,
                          format_report, run_experiment, score_method)
-from .graph import load_attributes, load_edge_list, save_attributes, save_edge_list, write_id_map
+from .graph import (load_attributes, load_edge_list, nonedge_mask, save_attributes,
+                    save_edge_list, write_id_map)
 from .netstats import format_stats, generate_planted_attribute_graph, stats_report
 from .propagation import PropagationConfig
 from .similarity import similarity_matrix
@@ -256,15 +257,9 @@ def _write_text(path, text: str) -> None:
 
 def _ranked_nonedges(graph, values: np.ndarray, k: int):
     # the k best non-edges by descending score, ties by (i, j)
-    n = graph.n
-    adjacent = np.zeros((n, n), dtype=bool)
-    if graph.m_edges:
-        adjacent[graph.edges[:, 0], graph.edges[:, 1]] = True
-    upper_i, upper_j = np.triu_indices(n, 1)
-    keep = ~adjacent[upper_i, upper_j]
-    ii, jj = upper_i[keep], upper_j[keep]
+    ii, jj = np.nonzero(nonedge_mask(graph.n, graph.edges))
     neg = -values[ii, jj]
-    k = max(0, min(k, len(neg)))
+    k = min(k, len(neg))
     if 0 < k < len(neg):
         # keep every pair scoring at or above the k-th best, so ties at the
         # cut are ordered by (i, j) like the rest; NaN sorts last in both
@@ -277,6 +272,8 @@ def _ranked_nonedges(graph, values: np.ndarray, k: int):
 
 
 def cmd_predict(opts: dict) -> int:
+    if opts["top_k"] < 1:
+        raise ConfigError(f"--top-k must be >= 1, got {opts['top_k']}")
     graph = _load_graph(opts)
     names = _method_list(opts["method"])
     if len(names) != 1:

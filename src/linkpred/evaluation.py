@@ -2,9 +2,11 @@
 
 AUC here is the probability that a removed (probe) edge outscores a
 non-edge, ties counted half: (n_higher + 0.5 * n_equal) / n_comparisons.
-Two routes are provided: Monte-Carlo sampling of (probe, non-edge) pairs
-and exact enumeration of all of them. Both share one tie predicate
-(|difference| <= 1e-12) so the exact value is the sampling limit.
+Two routes are provided: Monte-Carlo sampling of (probe, non-edge) pairs,
+and the exact count over all of them, which ranks probe scores among the
+sorted non-edge scores (Mann-Whitney U) and has no size cap. Both share
+one tie predicate (|difference| <= 1e-12) so the exact value is the
+sampling limit.
 
 All randomness derives from integer seeds via numpy Generators; repeated
 runs with the same master seed are bit-identical.
@@ -21,13 +23,12 @@ import numpy as np
 from .baselines import (LOCAL_INDEX_KINDS, BaselineConfig, _canonical_kind,
                         katz_index, local_index, lp_index)
 from .errors import ConfigError, EvaluationError
-from .graph import AttributedGraph
+from .graph import AttributedGraph, nonedge_mask
 from .propagation import PropagationConfig, ScoreMatrix, randwalk_solve
 
 logger = logging.getLogger(__name__)
 
 TIE_TOLERANCE = 1e-12
-EXACT_PAIR_LIMIT = 10_000_000
 
 METHOD_NAMES = ("randwalk",) + LOCAL_INDEX_KINDS + ("lp", "katz")
 
@@ -141,52 +142,37 @@ def split_probe(graph: AttributedGraph, fraction: float, seed: int) -> ProbeSpli
     return ProbeSplit(train_graph=train, probe_edges=probe, seed=seed)
 
 
-def _forbidden_pairs(train_graph: AttributedGraph, probe: np.ndarray) -> set:
-    pairs = set(train_graph.edge_set)
-    pairs.update((min(int(a), int(b)), max(int(a), int(b))) for a, b in probe)
-    return pairs
-
-
-def _check_pools(train_graph: AttributedGraph, probe: np.ndarray, forbidden: set) -> None:
+def _nonedge_pool(train_graph: AttributedGraph, probe: np.ndarray) -> np.ndarray:
+    # the pairs a probe edge is compared against: neither train nor probe edges
     if len(probe) == 0:
         raise EvaluationError("probe set is empty")
-    total_pairs = train_graph.n * (train_graph.n - 1) // 2
-    if total_pairs - len(forbidden) <= 0:
+    mask = nonedge_mask(train_graph.n, train_graph.edges, probe)
+    if not mask.any():
         raise EvaluationError("no non-edges left to compare against")
+    return mask
 
 
-def _sample_nonedges(rng, n: int, forbidden: set, count: int) -> tuple[np.ndarray, np.ndarray]:
-    # rejection sampling over unordered pairs i < j
-    out_i = np.empty(count, dtype=np.int64)
-    out_j = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        batch = max(2 * (count - filled), 16)
-        a = rng.integers(0, n, size=batch)
-        b = rng.integers(0, n, size=batch)
+def _sample_nonedges(rng, mask: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # rejection sampling over unordered pairs i < j, hits kept in draw order
+    picked = np.empty((0, 2), dtype=np.int64)
+    while len(picked) < count:
+        batch = max(2 * (count - len(picked)), 16)
+        a = rng.integers(0, len(mask), size=batch)
+        b = rng.integers(0, len(mask), size=batch)
         keep = a != b
-        lo = np.minimum(a[keep], b[keep])
-        hi = np.maximum(a[keep], b[keep])
-        for u, v in zip(lo.tolist(), hi.tolist()):
-            if (u, v) in forbidden:
-                continue
-            out_i[filled] = u
-            out_j[filled] = v
-            filled += 1
-            if filled == count:
-                break
-    return out_i, out_j
+        pairs = np.sort(np.column_stack([a[keep], b[keep]]), axis=1)
+        picked = np.concatenate([picked, pairs[mask[pairs[:, 0], pairs[:, 1]]]])[:count]
+    return picked[:, 0], picked[:, 1]
 
 
 def auc_sampled(scores: ScoreMatrix, probe: np.ndarray, train_graph: AttributedGraph,
                 n: int, seed: int) -> AucResult:
     """AUC from n independent (probe edge, non-edge) comparisons."""
-    forbidden = _forbidden_pairs(train_graph, probe)
-    _check_pools(train_graph, probe, forbidden)
-    rng = np.random.default_rng(seed)
     probe = np.asarray(probe, dtype=np.int64).reshape(-1, 2)
+    mask = _nonedge_pool(train_graph, probe)
+    rng = np.random.default_rng(seed)
     pick = rng.integers(0, len(probe), size=n)
-    ne_i, ne_j = _sample_nonedges(rng, train_graph.n, forbidden, n)
+    ne_i, ne_j = _sample_nonedges(rng, mask, n)
     probe_scores = scores.values[probe[pick, 0], probe[pick, 1]]
     nonedge_scores = scores.values[ne_i, ne_j]
     diff = probe_scores - nonedge_scores
@@ -196,45 +182,36 @@ def auc_sampled(scores: ScoreMatrix, probe: np.ndarray, train_graph: AttributedG
                      n_higher=n_higher, n_equal=n_equal, mode="sampled")
 
 
-def _nonedge_scores(scores: ScoreMatrix, train_graph: AttributedGraph,
-                    probe: np.ndarray) -> np.ndarray:
-    n = train_graph.n
-    excluded = np.zeros((n, n), dtype=bool)
-    if train_graph.m_edges:
-        excluded[train_graph.edges[:, 0], train_graph.edges[:, 1]] = True
-    if len(probe):
-        lo = np.minimum(probe[:, 0], probe[:, 1])
-        hi = np.maximum(probe[:, 0], probe[:, 1])
-        excluded[lo, hi] = True
-    upper = np.triu_indices(n, 1)
-    keep = ~excluded[upper]
-    return scores.values[upper][keep]
+def _count_below(ascending: np.ndarray, probe_scores: np.ndarray, threshold: float) -> int:
+    # Sum over probe scores p of #{r in ascending: p - r > threshold}. Rounded
+    # subtraction is monotone, so those r are a prefix (NaN sorts last); bisect
+    # on the predicate itself, since ranking p - threshold can be an ulp off.
+    lo = np.zeros(len(probe_scores), dtype=np.int64)
+    hi = np.full(len(probe_scores), len(ascending), dtype=np.int64)
+    for _ in range(len(ascending).bit_length()):
+        mid = (lo + hi) // 2
+        inside = probe_scores - ascending.take(mid, mode="clip") > threshold
+        open_ = lo < hi
+        lo = np.where(open_ & inside, mid + 1, lo)
+        hi = np.where(open_ & ~inside, mid, hi)
+    return int(lo.sum())
 
 
 def auc_exact(scores: ScoreMatrix, probe: np.ndarray, train_graph: AttributedGraph) -> AucResult:
     """AUC over every (probe edge, non-edge) pair, ties counted half.
 
-    Enumerates the comparison set, so it refuses instances with more than
-    10^7 pairs; use the sampled mode there.
+    The normalised Mann-Whitney U statistic: non-edge scores are sorted once
+    and each probe score is ranked among them by bisection, so the cost is
+    O(N log N) in the N non-edges and there is no cap on the pair count.
     """
     probe = np.asarray(probe, dtype=np.int64).reshape(-1, 2)
-    forbidden = _forbidden_pairs(train_graph, probe)
-    _check_pools(train_graph, probe, forbidden)
-    nonedge_scores = _nonedge_scores(scores, train_graph, probe)
-    total = len(probe) * len(nonedge_scores)
-    if total > EXACT_PAIR_LIMIT:
-        raise EvaluationError(
-            f"{len(probe)} probe edges x {len(nonedge_scores)} non-edges = {total} pairs "
-            f"exceeds the exact-mode limit of {EXACT_PAIR_LIMIT}; use sampled mode"
-        )
+    nonedge_scores = np.sort(scores.values[_nonedge_pool(train_graph, probe)])
     probe_scores = scores.values[probe[:, 0], probe[:, 1]]
-    n_higher = 0
-    n_equal = 0
-    chunk = max(1, 1_000_000 // max(len(probe_scores), 1))
-    for start in range(0, len(nonedge_scores), chunk):
-        diff = probe_scores[:, None] - nonedge_scores[None, start:start + chunk]
-        n_higher += int(np.count_nonzero(diff > TIE_TOLERANCE))
-        n_equal += int(np.count_nonzero(np.abs(diff) <= TIE_TOLERANCE))
+    total = len(probe) * len(nonedge_scores)
+    # |p - r| <= tol  <=>  p - r > -tol - ulp  and not  p - r > tol
+    n_higher = _count_below(nonedge_scores, probe_scores, TIE_TOLERANCE)
+    n_equal = _count_below(nonedge_scores, probe_scores,
+                           np.nextafter(-TIE_TOLERANCE, -np.inf)) - n_higher
     return AucResult(auc=(n_higher + 0.5 * n_equal) / total, n_comparisons=total,
                      n_higher=n_higher, n_equal=n_equal, mode="exact")
 

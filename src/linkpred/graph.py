@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,10 +36,10 @@ class AttributedGraph:
     """Undirected graph with optional per-node attribute vectors.
 
     Nodes are dense 0-based indices. The adjacency is kept in CSR form
-    (``indptr``/``indices``, neighbor lists sorted ascending) for O(degree)
-    iteration, plus a set of canonical ``(min, max)`` pairs for O(1)
-    membership tests. Instances are immutable after construction; all
-    arrays should be treated as read-only.
+    (``indptr``/``indices``, neighbor lists sorted ascending): iteration is
+    O(degree) and a membership test is a binary search of one row.
+    Instances are immutable after construction; all arrays should be
+    treated as read-only.
     """
 
     n: int
@@ -47,7 +47,6 @@ class AttributedGraph:
     indptr: np.ndarray
     indices: np.ndarray
     attributes: np.ndarray  # (n, attr_dim) float64; attr_dim == 0 when absent
-    edge_set: frozenset = field(repr=False)
 
     @classmethod
     def build(cls, n: int, edges, attributes: np.ndarray | None = None) -> "AttributedGraph":
@@ -81,7 +80,6 @@ class AttributedGraph:
             indptr=indptr,
             indices=dst,
             attributes=attributes,
-            edge_set=frozenset(map(tuple, canon.tolist())),
         )
 
     @property
@@ -108,7 +106,11 @@ class AttributedGraph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_set
+        row = self.neighbors(i)
+        if not 0 <= j < self.n:
+            raise IndexError(f"node {j} out of range for graph with {self.n} nodes")
+        k = np.searchsorted(row, j)
+        return bool(k < len(row) and row[k] == j)
 
     def adjacency_matrix(self) -> sp.csr_matrix:
         """Binary adjacency as a scipy CSR matrix (float64)."""
@@ -120,6 +122,19 @@ class AttributedGraph:
         if attributes.shape[0] != self.n:
             raise ValueError("attribute matrix must have one row per node")
         return replace(self, attributes=attributes)
+
+
+def nonedge_mask(n: int, *edge_sets) -> np.ndarray:
+    """n x n bool array, True at each pair i < j in none of the (m, 2) edge sets.
+
+    Edge pairs may come in either order. ``np.nonzero`` of the mask lists
+    the non-edges in row-major (i, j) order.
+    """
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    for edges in edge_sets:
+        lo, hi = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1).T
+        mask[lo, hi] = False
+    return mask
 
 
 def _parse_node_id(token: str, indexing: str, path, lineno: int) -> int:
@@ -192,7 +207,8 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
 
     The ``indexing`` convention applies to node ids and, for sparse lines,
     to the coordinate indices as well. Negative values are accepted but
-    logged, since downstream similarity treats them as zero affinity.
+    logged, since downstream similarity treats them as zero affinity;
+    ``nan`` and ``inf`` are rejected with a ``ParseError``.
     """
     indexing = _check_indexing(indexing)
     attr_dim = None
@@ -231,7 +247,6 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
                     row = np.array([float(t) for t in tokens[1:]])
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: invalid attribute value") from None
-                values[node] = row
                 negatives += int(np.sum(row < 0))
             else:
                 row = np.zeros(attr_dim)
@@ -252,7 +267,9 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
                         )
                     row[idx] = val
                     negatives += int(val < 0)
-                values[node] = row
+            if not np.isfinite(row).all():
+                raise ParseError(f"{path}:{lineno}: non-finite attribute value")
+            values[node] = row
     if fmt is None or values is None:
         raise ParseError(f"{path}: missing '#dense m' / '#sparse m' header")
     if duplicates:

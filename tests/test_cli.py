@@ -5,7 +5,7 @@ import pytest
 
 from linkpred import load_attributes, load_edge_list, save_attributes, save_edge_list
 from linkpred.cli import main
-from _helpers import graph_from_edges
+from _helpers import graph_from_edges, make_gnp
 
 
 @pytest.fixture()
@@ -67,6 +67,21 @@ class TestPredict:
                    "--top-k", "999", "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 2  # header + single non-edge
+
+    @pytest.mark.parametrize("k", ["0", "-4"])
+    def test_top_k_below_one_is_config_error(self, triangle_minus_edge, tmp_path, k):
+        edges, _ = triangle_minus_edge
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--edges", str(edges), "--method", "cn",
+                   "--top-k", k, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
+    def test_non_finite_attribute_is_data_error(self, triangle_minus_edge, tmp_path):
+        edges, _ = triangle_minus_edge
+        attrs = tmp_path / "nan_attrs.txt"
+        attrs.write_text("#dense 2\n0 1 1\n1 nan 1\n2 1 1\n")
+        assert main(["predict", "--edges", str(edges), "--attrs", str(attrs)]) == 2
 
     def test_randwalk_without_attrs_is_config_error(self, triangle_minus_edge):
         edges, _ = triangle_minus_edge
@@ -146,6 +161,14 @@ class TestEvaluate:
         assert rc == 0
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert [line.split(",")[1] for line in body[1:]] == roster.split(",")
+
+    def test_default_exact_auc_at_paper_scale(self, tmp_path, capsys):
+        # about 200 probe edges x 5e5 non-edges = 10^8 pairs, scored exactly
+        edges = tmp_path / "big.txt"
+        save_edge_list(make_gnp(1000, 0.004, 13), edges)
+        rc = main(["evaluate", "--edges", str(edges), "--method", "cn", "--reps", "1"])
+        assert rc == 0
+        assert "auc_mode: exact" in capsys.readouterr().out
 
     def test_unknown_method(self, planted_files):
         edges, attrs = planted_files

@@ -5,10 +5,10 @@ import pytest
 
 from linkpred import (AttributedGraph, ConfigError, EvaluationError, ExperimentConfig,
                       ScoreMatrix, auc_exact, auc_sampled, canonical_method,
-                      format_report, generate_planted_attribute_graph, run_experiment,
-                      split_probe)
+                      format_report, generate_planted_attribute_graph, local_index,
+                      run_experiment, split_probe)
 from _helpers import make_gnp
-from _oracles import oracle_auc
+from _oracles import oracle_auc, oracle_auc_chunked
 
 
 def _score_matrix(n, fill=None, seed=None):
@@ -31,6 +31,22 @@ def _nonedge_pairs(split):
             if not train.has_edge(i, j) and (i, j) not in probe:
                 pairs.append((i, j))
     return pairs
+
+
+def _dense_nonedge_scores(split, values):
+    # non-edges from a dense adjacency of train plus probe edges
+    taken = split.train_graph.adjacency_matrix().toarray() > 0
+    taken[split.probe_edges[:, 0], split.probe_edges[:, 1]] = True
+    taken[split.probe_edges[:, 1], split.probe_edges[:, 0]] = True
+    ii, jj = np.triu_indices(split.train_graph.n, 1)
+    keep = ~taken[ii, jj]
+    return values[ii[keep], jj[keep]]
+
+
+def _planted_cn_split():
+    g = generate_planted_attribute_graph(300, 4, 0.1, 0.005, 0.1, seed=21)
+    split = split_probe(g, 0.1, seed=22)
+    return split, local_index("cn", split.train_graph)
 
 
 class TestSplitProbe:
@@ -162,14 +178,47 @@ class TestAucExact:
         with pytest.raises(EvaluationError, match="non-edges"):
             auc_exact(_score_matrix(n, fill=0.5), split.probe_edges, split.train_graph)
 
-    def test_pair_limit_refusal_points_at_sampled_mode(self):
+    def test_large_instance_matches_chunked_oracle(self):
+        # about 200 probe edges x 5e5 non-edges, far past the 10^7 pairs
+        # that pairwise enumeration could afford; rounding makes many ties
         g = make_gnp(1000, 0.004, 13)
         split = split_probe(g, 0.1, seed=14)
-        # ~200 probe edges x ~497k non-edges comfortably exceeds the 1e7 cap
-        if len(split.probe_edges) * (g.n * (g.n - 1) // 2) <= 10_000_000:
-            pytest.skip("instance unexpectedly small")
-        with pytest.raises(EvaluationError, match="sampled"):
-            auc_exact(_score_matrix(g.n, fill=0.5), split.probe_edges, split.train_graph)
+        values = np.round(_score_matrix(g.n, seed=15).values, 2)
+        result = auc_exact(ScoreMatrix(values=values), split.probe_edges, split.train_graph)
+        assert result.n_comparisons > 10_000_000
+        probe_scores = values[split.probe_edges[:, 0], split.probe_edges[:, 1]]
+        expected = oracle_auc_chunked(probe_scores, _dense_nonedge_scores(split, values))
+        assert (result.auc, result.n_higher, result.n_equal, result.n_comparisons) == expected
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_ties_and_nan_match_oracle(self, seed):
+        # differences within a few ulp of +-1e-12, where ranking at p -+ tol
+        # and the pairwise predicate can disagree, plus NaN and infinities
+        rng = np.random.default_rng(seed)
+        g = make_gnp(24, 0.2, seed)
+        split = split_probe(g, 0.2, seed=seed + 20)
+        scale = [1.0, 1e-3, 1e3][seed % 3]
+        values = rng.choice([0.0, 0.25, 0.5, 1.0], size=(g.n, g.n)) * scale
+        values += rng.choice([0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12],
+                             size=values.shape)
+        values += rng.integers(-2, 3, size=values.shape) * np.spacing(values)
+        values[rng.random(values.shape) < 0.03] = np.nan
+        values[rng.random(values.shape) < 0.01] = np.inf
+        values[rng.random(values.shape) < 0.01] = -np.inf
+        values = np.triu(values, 1)
+        values = values + values.T
+        result = auc_exact(ScoreMatrix(values=values), split.probe_edges, split.train_graph)
+        probe_scores = [values[i, j] for i, j in split.probe_edges.tolist()]
+        nonedge_scores = [values[i, j] for i, j in _nonedge_pairs(split)]
+        _, higher, equal, total = oracle_auc(probe_scores, nonedge_scores)
+        assert (result.n_higher, result.n_equal, result.n_comparisons) == (higher, equal, total)
+
+    def test_counts_pinned(self):
+        split, scores = _planted_cn_split()
+        result = auc_exact(scores, split.probe_edges, split.train_graph)
+        assert (result.n_higher, result.n_equal, result.n_comparisons) == \
+            (1962970, 3000979, 5492718)
 
 
 class TestAucSampled:
@@ -198,6 +247,11 @@ class TestAucSampled:
         a = auc_sampled(scores, split.probe_edges, split.train_graph, n=10_000, seed=3)
         b = auc_sampled(scores, split.probe_edges, split.train_graph, n=10_000, seed=3)
         assert (a.n_higher, a.n_equal) == (b.n_higher, b.n_equal)
+
+    def test_counts_pinned(self):
+        split, scores = _planted_cn_split()
+        result = auc_sampled(scores, split.probe_edges, split.train_graph, n=200_000, seed=23)
+        assert (result.n_higher, result.n_equal) == (71525, 109159)
 
     def test_close_to_exact(self):
         g = make_gnp(20, 0.25, 6)

@@ -98,6 +98,17 @@ class TestTopology:
             g.neighbors(2)
         with pytest.raises(IndexError):
             g.degree(5)
+        for i, j in [(0, 2), (2, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(IndexError):
+                g.has_edge(i, j)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_has_edge_matches_edge_list(self, seed):
+        g = make_gnp(40, 0.2, seed)
+        edges = {tuple(e) for e in g.edges.tolist()}
+        for i in range(g.n):
+            for j in range(g.n):
+                assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in edges)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_degree_sum_is_twice_edge_count(self, seed):
@@ -173,6 +184,16 @@ class TestLoadAttributes:
     def test_dense_wrong_arity(self, tmp_path):
         path = _write(tmp_path, "a.txt", "#dense 3\n0 1 0\n")
         with pytest.raises(ParseError, match="expected 3 values"):
+            load_attributes(path, self._graph())
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fmt,good,bad", [
+        pytest.param("dense", "0 1 1", "1 0.5 {}", id="dense"),
+        pytest.param("sparse", "0 0:1 1:1", "1 0:0.5 1:{}", id="sparse"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, token, fmt, good, bad):
+        path = _write(tmp_path, "a.txt", f"#{fmt} 2\n{good}\n{bad.format(token)}\n")
+        with pytest.raises(ParseError, match=r"a\.txt:3: non-finite"):
             load_attributes(path, self._graph())
 
     def test_negative_values_warn(self, tmp_path, caplog):
