@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
-from ._util import mirror_upper
 from .errors import ConfigError
 from .graph import AttributedGraph
 from .propagation import ScoreMatrix
@@ -38,10 +38,11 @@ class BaselineConfig:
     katz_beta: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.lp_epsilon <= 0:
-            raise ConfigError(f"lp_epsilon must be positive, got {self.lp_epsilon}")
-        if self.katz_beta <= 0:
-            raise ConfigError(f"katz_beta must be positive, got {self.katz_beta}")
+        # chained comparisons are false for nan, so nan fails too
+        if not 0.0 < self.lp_epsilon < np.inf:
+            raise ConfigError(f"lp_epsilon must be positive and finite, got {self.lp_epsilon}")
+        if not 0.0 < self.katz_beta < np.inf:
+            raise ConfigError(f"katz_beta must be positive and finite, got {self.katz_beta}")
 
 
 def _canonical_kind(kind: str) -> str:
@@ -99,33 +100,22 @@ def lp_index(graph: AttributedGraph, cfg: BaselineConfig) -> ScoreMatrix:
     return ScoreMatrix(values=values)
 
 
-def _spectral_radius_estimate(adjacency, iterations: int = 100) -> float:
-    """Largest-magnitude eigenvalue via power iteration from the ones vector."""
-    n = adjacency.shape[0]
-    if n == 0 or adjacency.nnz == 0:
-        return 0.0
-    vec = np.ones(n) / np.sqrt(n)
-    radius = 0.0
-    for _ in range(iterations):
-        nxt = adjacency @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            return 0.0
-        vec = nxt / norm
-        radius = norm
-    return radius
-
-
 def katz_index(graph: AttributedGraph, cfg: BaselineConfig) -> ScoreMatrix:
     """Damped count of paths of every length, by direct linear solve.
 
     Requires katz_beta below the reciprocal spectral radius of the
-    adjacency matrix (checked with a power-iteration estimate) so the
-    path series converges.
+    adjacency matrix so the path series converges. For a non-negative
+    symmetric matrix the radius is the largest eigenvalue, computed by
+    Lanczos iteration (``eigsh``) to machine precision. Negative entries
+    of the inverse, which only rounding can produce once beta passes that
+    check, are clamped to 0.
     """
     adjacency = graph.adjacency_matrix()
-    radius = _spectral_radius_estimate(adjacency)
-    if radius > 0 and cfg.katz_beta * radius >= 1.0:
+    radius = 0.0
+    if adjacency.nnz:
+        radius = float(eigsh(adjacency, k=1, which="LA", v0=np.ones(graph.n),
+                             return_eigenvectors=False)[0])
+    if cfg.katz_beta * radius >= 1.0:
         raise ConfigError(
             f"katz_beta={cfg.katz_beta} too large: must be < 1/spectral radius ≈ {1.0 / radius:.6g}"
         )
@@ -138,7 +128,8 @@ def katz_index(graph: AttributedGraph, cfg: BaselineConfig) -> ScoreMatrix:
             f"katz_beta={cfg.katz_beta} makes the system singular; "
             f"choose beta < 1/spectral radius ≈ {1.0 / max(radius, 1e-300):.6g}"
         ) from None
-    values = np.maximum(inverse - np.eye(n), 0.0)
-    mirror_upper(values)
-    np.fill_diagonal(values, 0.0)
+    # off the diagonal, (I - beta A)^{-1} - I is the inverse itself; the LU
+    # solve is not exactly symmetric, so keep its upper triangle and mirror it
+    values = np.triu(np.maximum(inverse, 0.0, out=inverse), 1)
+    values += values.T
     return ScoreMatrix(values=values)

@@ -26,47 +26,13 @@ from .evaluation import (METHOD_NAMES, ExperimentConfig, canonical_method,
 from .graph import (load_attributes, load_edge_list, nonedge_mask, save_attributes,
                     save_edge_list, write_id_map)
 from .netstats import format_stats, generate_planted_attribute_graph, stats_report
-from .propagation import PropagationConfig
+from .propagation import INIT_MODES, PropagationConfig
 from .similarity import similarity_matrix
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NONCONVERGED = 3
-
-DEFAULT_SEED = 12345
-
-DEFAULTS = {
-    "edges": None,
-    "attrs": None,
-    "out": None,
-    "method": "randwalk",
-    "c": 0.8,
-    "tol": 1e-6,
-    "max_iter": 100,
-    "init": "attrsim",
-    "split": 0.1,
-    "reps": 10,
-    "seed": DEFAULT_SEED,
-    "top_k": 100,
-    "auc": "exact",
-    "auc_samples": 200_000,
-    "lp_epsilon": 0.001,
-    "katz_beta": 0.001,
-    "one_based": False,
-    "timing": False,
-    "dump_sim": None,
-    "dump_scores": None,
-    "id_map": None,
-    "dataset": None,
-    "n": 200,
-    "groups": 4,
-    "p_in": 0.15,
-    "p_out": 0.01,
-    "attr_noise": 0.1,
-    "out_edges": None,
-    "out_attrs": None,
-}
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -78,24 +44,43 @@ def _parse_bool(text: str) -> bool:
         raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
-_CONVERTERS = {
-    "c": float, "tol": float, "max_iter": int, "split": float, "reps": int,
-    "seed": int, "top_k": int, "auc_samples": int, "lp_epsilon": float,
-    "katz_beta": float, "one_based": _parse_bool, "timing": _parse_bool,
-    "n": int, "groups": int, "p_in": float, "p_out": float, "attr_noise": float,
+# Every option once: name -> (default, type, help). The type converts both the
+# flag and the --config value; a _parse_bool option is a store_true flag.
+OPTIONS = {
+    "edges": (None, str, "edge-list file"),
+    "attrs": (None, str, "attribute file"),
+    "out": (None, str, "output file (predict: CSV, stdout if unset; "
+                       "evaluate and stats also print to stdout)"),
+    "method": ("randwalk", str, f"one of: {', '.join(METHOD_NAMES)}; "
+                                "evaluate takes a comma-separated list"),
+    "c": (0.8, float, "attenuation coefficient"),
+    "tol": (1e-6, float, "convergence threshold"),
+    "max_iter": (100, int, "sweep cap"),
+    "init": ("attrsim", str, f"score initialisation, one of: {', '.join(INIT_MODES)}"),
+    "split": (0.1, float, "probe fraction"),
+    "reps": (10, int, "repetitions"),
+    "seed": (12345, int, "master seed"),
+    "top_k": (100, int, "non-edges to emit"),
+    "auc": ("exact", str, "AUC mode, exact or sampled"),
+    "auc_samples": (200_000, int, "comparisons per sampled AUC"),
+    "lp_epsilon": (0.001, float, "weight of 3-hop paths in lp"),
+    "katz_beta": (0.001, float, "path damping in katz"),
+    "one_based": (False, _parse_bool, "input node ids start at 1"),
+    "timing": (False, _parse_bool, "record measured wall-clock in the report (not reproducible)"),
+    "dump_sim": (None, str, "write the similarity matrix as CSV"),
+    "dump_scores": (None, str, "write the full score matrix as CSV"),
+    "id_map": (None, str, "write original_id,dense_index CSV"),
+    "dataset": (None, str, "dataset label (edges file stem if unset)"),
+    "n": (200, int, "node count"),
+    "groups": (4, int, "planted groups, one attribute each"),
+    "p_in": (0.15, float, "edge probability inside a group"),
+    "p_out": (0.01, float, "edge probability across groups"),
+    "attr_noise": (0.1, float, "attribute mass spread off the group's coordinate"),
+    "out_edges": (None, str, "edge-list file to write"),
+    "out_attrs": (None, str, "attribute file to write"),
 }
 
-_COMMAND_KEYS = {
-    "predict": ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "init",
-                "top_k", "dump_sim", "dump_scores", "id_map", "one_based",
-                "lp_epsilon", "katz_beta"),
-    "evaluate": ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "init",
-                 "split", "reps", "seed", "auc", "auc_samples", "timing", "dataset",
-                 "id_map", "one_based", "lp_epsilon", "katz_beta"),
-    "stats": ("edges", "attrs", "out", "id_map", "one_based"),
-    "generate": ("n", "groups", "p_in", "p_out", "attr_noise", "seed",
-                 "out_edges", "out_attrs"),
-}
+DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,70 +96,20 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "propagation, classical baselines, AUC evaluation.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     S = argparse.SUPPRESS
-
-    def common(p):
+    for command, (_, summary, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key in keys:
+            default, kind, text = OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if kind is _parse_bool:
+                p.add_argument(flag, action="store_true", default=S, help=text)
+            else:
+                if default is not None:
+                    text += f" (default {default})"
+                p.add_argument(flag, type=kind, default=S, help=text)
         p.add_argument("--config", default=S, help="key=value config file (flags win)")
         p.add_argument("-v", "--verbose", action="count", default=S,
                        help="-v progress, -vv per-sweep detail")
-
-    p = sub.add_parser("predict", help="rank non-edges of a graph by link score")
-    p.add_argument("--edges", default=S, help="edge-list file")
-    p.add_argument("--attrs", default=S, help="attribute file")
-    p.add_argument("--method", default=S, help=f"one of: {', '.join(METHOD_NAMES)}")
-    p.add_argument("--c", type=float, default=S, help="attenuation coefficient (default 0.8)")
-    p.add_argument("--tol", type=float, default=S, help="convergence threshold (default 1e-6)")
-    p.add_argument("--max-iter", type=int, default=S, help="sweep cap (default 100)")
-    p.add_argument("--init", choices=("identity", "attrsim"), default=S)
-    p.add_argument("--top-k", type=int, default=S, help="non-edges to emit (default 100)")
-    p.add_argument("--lp-epsilon", type=float, default=S)
-    p.add_argument("--katz-beta", type=float, default=S)
-    p.add_argument("--dump-sim", default=S, help="write the similarity matrix as CSV")
-    p.add_argument("--dump-scores", default=S, help="write the full score matrix as CSV")
-    p.add_argument("--id-map", default=S, help="write original_id,dense_index CSV")
-    p.add_argument("--one-based", action="store_true", default=S)
-    p.add_argument("--out", default=S, help="output CSV (default stdout)")
-    common(p)
-
-    p = sub.add_parser("evaluate", help="repeated-split AUC comparison of methods")
-    p.add_argument("--edges", default=S)
-    p.add_argument("--attrs", default=S)
-    p.add_argument("--method", default=S, help="comma-separated method list")
-    p.add_argument("--c", type=float, default=S)
-    p.add_argument("--tol", type=float, default=S)
-    p.add_argument("--max-iter", type=int, default=S)
-    p.add_argument("--init", choices=("identity", "attrsim"), default=S)
-    p.add_argument("--split", type=float, default=S, help="probe fraction (default 0.1)")
-    p.add_argument("--reps", type=int, default=S, help="repetitions (default 10)")
-    p.add_argument("--seed", type=int, default=S, help=f"master seed (default {DEFAULT_SEED})")
-    p.add_argument("--auc", choices=("sampled", "exact"), default=S)
-    p.add_argument("--auc-samples", type=int, default=S)
-    p.add_argument("--timing", action="store_true", default=S,
-                   help="record measured wall-clock in the report (not reproducible)")
-    p.add_argument("--dataset", default=S, help="dataset label (default: edges file stem)")
-    p.add_argument("--id-map", default=S)
-    p.add_argument("--one-based", action="store_true", default=S)
-    p.add_argument("--out", default=S, help="report file (also printed to stdout)")
-    common(p)
-
-    p = sub.add_parser("stats", help="print the network-statistics row")
-    p.add_argument("--edges", default=S)
-    p.add_argument("--attrs", default=S)
-    p.add_argument("--id-map", default=S)
-    p.add_argument("--one-based", action="store_true", default=S)
-    p.add_argument("--out", default=S)
-    common(p)
-
-    p = sub.add_parser("generate", help="write a synthetic attributed graph")
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--groups", type=int, default=S)
-    p.add_argument("--p-in", type=float, default=S)
-    p.add_argument("--p-out", type=float, default=S)
-    p.add_argument("--attr-noise", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--out-edges", default=S)
-    p.add_argument("--out-attrs", default=S)
-    common(p)
-
     return parser
 
 
@@ -195,18 +130,19 @@ def _read_config_file(path) -> dict:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    keys = _COMMAND_KEYS[command]
-    opts = {key: DEFAULTS[key] for key in keys}
+    keys = _COMMANDS[command][2]
+    opts = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         for key, raw in _read_config_file(config_path).items():
-            if key not in DEFAULTS:
+            if key not in OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
             if key in keys:
-                opts[key] = _CONVERTERS.get(key, str)(raw)
-    for key in keys:
-        if hasattr(args, key):
-            opts[key] = getattr(args, key)
+                try:
+                    opts[key] = OPTIONS[key][1](raw)
+                except ValueError as exc:
+                    raise ConfigError(f"{config_path}: bad value for {key}: {exc}") from None
+    opts.update((key, getattr(args, key)) for key in keys if hasattr(args, key))
     return opts
 
 
@@ -236,10 +172,10 @@ def _experiment_config(opts: dict) -> ExperimentConfig:
                                       init_mode=opts["init"]),
         baselines=BaselineConfig(lp_epsilon=opts["lp_epsilon"],
                                  katz_beta=opts["katz_beta"]),
-        split_fraction=opts.get("split", DEFAULTS["split"]),
-        master_seed=opts.get("seed", DEFAULT_SEED),
-        auc_mode=opts.get("auc", DEFAULTS["auc"]),
-        auc_samples=opts.get("auc_samples", DEFAULTS["auc_samples"]),
+        split_fraction=opts["split"],
+        master_seed=opts["seed"],
+        auc_mode=opts["auc"],
+        auc_samples=opts["auc_samples"],
     )
 
 
@@ -274,12 +210,13 @@ def _ranked_nonedges(graph, values: np.ndarray, k: int):
 def cmd_predict(opts: dict) -> int:
     if opts["top_k"] < 1:
         raise ConfigError(f"--top-k must be >= 1, got {opts['top_k']}")
-    graph = _load_graph(opts)
     names = _method_list(opts["method"])
     if len(names) != 1:
         raise ConfigError("predict takes exactly one method; evaluate accepts a list")
     method = canonical_method(names[0])
-    scores = score_method(method, graph, _experiment_config(opts))
+    cfg = _experiment_config(opts)
+    graph = _load_graph(opts)
+    scores = score_method(method, graph, cfg)
     if opts.get("dump_sim"):
         sim = similarity_matrix(graph)
         np.savetxt(opts["dump_sim"], sim.values, delimiter=",", fmt="%.12g")
@@ -302,12 +239,12 @@ def cmd_predict(opts: dict) -> int:
 
 
 def cmd_evaluate(opts: dict) -> int:
-    graph = _load_graph(opts)
     methods = _method_list(opts["method"])
-    dataset = opts.get("dataset") or Path(opts["edges"]).stem
-    report = run_experiment(graph, methods, _experiment_config(opts),
-                            repetitions=opts["reps"], dataset=dataset)
-    text = format_report(report, timing=opts.get("timing", False))
+    cfg = _experiment_config(opts)
+    graph = _load_graph(opts)
+    dataset = opts["dataset"] or Path(opts["edges"]).stem
+    report = run_experiment(graph, methods, cfg, repetitions=opts["reps"], dataset=dataset)
+    text = format_report(report, timing=opts["timing"])
     sys.stdout.write(text)
     if opts.get("out"):
         _write_text(opts["out"], text)
@@ -340,11 +277,21 @@ def cmd_generate(opts: dict) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "stats": cmd_stats,
-    "generate": cmd_generate,
+# command -> (handler, help, option keys in help order)
+_COMMANDS = {
+    "predict": (cmd_predict, "rank non-edges of a graph by link score",
+                ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "init",
+                 "top_k", "dump_sim", "dump_scores", "id_map", "one_based",
+                 "lp_epsilon", "katz_beta")),
+    "evaluate": (cmd_evaluate, "repeated-split AUC comparison of methods",
+                 ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "init",
+                  "split", "reps", "seed", "auc", "auc_samples", "timing", "dataset",
+                  "id_map", "one_based", "lp_epsilon", "katz_beta")),
+    "stats": (cmd_stats, "print the network-statistics row",
+              ("edges", "attrs", "out", "id_map", "one_based")),
+    "generate": (cmd_generate, "write a synthetic attributed graph",
+                 ("n", "groups", "p_in", "p_out", "attr_noise", "seed",
+                  "out_edges", "out_attrs")),
 }
 
 
@@ -364,7 +311,7 @@ def main(argv=None) -> int:
     _setup_logging(getattr(args, "verbose", 0))
     try:
         opts = _resolve(args, args.command)
-        return _DISPATCH[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except ConfigError as exc:
         print(f"linkpred: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -270,18 +270,8 @@ def run_experiment(graph: AttributedGraph, methods: list, cfg: ExperimentConfig,
         )
         for name in names
     ]
-    echo = {
-        "c": cfg.propagation.c,
-        "tolerance": cfg.propagation.tolerance,
-        "max_iterations": cfg.propagation.max_iterations,
-        "init_mode": cfg.propagation.init_mode,
-        "lp_epsilon": cfg.baselines.lp_epsilon,
-        "katz_beta": cfg.baselines.katz_beta,
-        "split_fraction": cfg.split_fraction,
-        "master_seed": cfg.master_seed,
-        "auc_mode": cfg.auc_mode,
-        "auc_samples": cfg.auc_samples,
-    }
+    flat = asdict(cfg)
+    echo = {**flat.pop("propagation"), **flat.pop("baselines"), **flat}
     return EvalReport(dataset=dataset, results=results, config=echo,
                       repetitions=repetitions, seeds=[s for s, _ in rep_seeds])
 

@@ -60,8 +60,8 @@ class PropagationConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.c < 1.0:
             raise ConfigError(f"attenuation coefficient c must be in (0, 1), got {self.c}")
-        if self.tolerance <= 0.0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < np.inf:  # false for nan as well
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.init_mode not in INIT_MODES:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import mirror_upper
 from .errors import ConfigError
 from .graph import AttributedGraph
 
@@ -68,9 +67,11 @@ def cosine_similarity(t_i: np.ndarray, t_j: np.ndarray) -> float:
 def similarity_matrix(graph: AttributedGraph, kind: str = "cosine") -> SimilarityMatrix:
     """All-pairs attribute similarity of a graph's nodes.
 
-    Computed from row-normalized attribute vectors and mirrored across the
-    diagonal, so the result is bitwise symmetric. The diagonal is exactly 1
-    for nodes with a nonzero attribute vector and 0 otherwise.
+    Computed as X X^T from the row-normalized attribute vectors X. numpy
+    forms that product with a symmetric rank-k update, which computes one
+    triangle and copies it, so the result is bitwise symmetric without a
+    mirror step. The diagonal is exactly 1 for nodes with a nonzero
+    attribute vector and 0 otherwise.
     """
     if kind not in SIMILARITY_KINDS:
         raise ConfigError(f"unknown similarity kind {kind!r}; valid: {', '.join(SIMILARITY_KINDS)}")
@@ -82,7 +83,6 @@ def similarity_matrix(graph: AttributedGraph, kind: str = "cosine") -> Similarit
     normalized = np.zeros_like(T)
     normalized[nonzero] = T[nonzero] / norms[nonzero, None]
     values = np.clip(normalized @ normalized.T, -1.0, 1.0)
-    mirror_upper(values)
     values[np.diag_indices(graph.n)] = nonzero.astype(np.float64)
     return SimilarityMatrix(values=values)
 

@@ -117,6 +117,18 @@ class TestKatzIndex:
         with pytest.raises(ConfigError, match="spectral radius"):
             katz_index(g, BaselineConfig(katz_beta=0.9))
 
+    @pytest.mark.parametrize("beta,accepted", [(0.50004, False), (0.49998, True)])
+    def test_guard_is_exact_on_long_path(self, beta, accepted):
+        # the spectral radius is 2 cos(pi/401) = 1.9999386; 100 power-iteration
+        # steps read 1.99970 and so accepted beta = 0.50004, where the series diverges
+        g = AttributedGraph.build(400, [(i, i + 1) for i in range(399)])
+        if accepted:
+            values = katz_index(g, BaselineConfig(katz_beta=beta)).values
+            assert np.isfinite(values).all() and (values >= 0).all()
+        else:
+            with pytest.raises(ConfigError, match="spectral radius"):
+                katz_index(g, BaselineConfig(katz_beta=beta))
+
     def test_small_beta_ranks_like_cn_at_distance_two(self):
         g = make_gnp(20, 0.25, 5)
         adj = adjacency_sets(g)
@@ -134,7 +146,10 @@ class TestKatzIndex:
 
 
 class TestBaselineConfig:
-    @pytest.mark.parametrize("kwargs", [{"lp_epsilon": 0.0}, {"katz_beta": -1.0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"lp_epsilon": 0.0}, {"katz_beta": -1.0}, {"lp_epsilon": np.nan},
+        {"lp_epsilon": np.inf}, {"katz_beta": np.nan}, {"katz_beta": np.inf},
+    ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             BaselineConfig(**kwargs)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from linkpred import load_attributes, load_edge_list, save_attributes, save_edge_list
+from linkpred import cli, load_attributes, load_edge_list, save_attributes, save_edge_list
 from linkpred.cli import main
 from _helpers import graph_from_edges, make_gnp
 
@@ -204,6 +207,25 @@ class TestEvaluate:
                      "--config", str(cfg)]) == 1
 
 
+    def test_lp_epsilon_and_katz_beta_flags(self, planted_files, capsys):
+        edges, _ = planted_files
+        rc = main(["evaluate", "--edges", str(edges), "--method", "lp,katz", "--reps", "1",
+                   "--lp-epsilon", "0.01", "--katz-beta", "0.02"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "lp_epsilon: 0.01  katz_beta: 0.02" in out
+
+    @pytest.mark.parametrize("line", ["top_k=abc", "one_based=maybe"])
+    def test_config_value_checked_like_flag(self, triangle_minus_edge, tmp_path, capsys, line):
+        edges, _ = triangle_minus_edge
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["predict", "--edges", str(edges), "--method", "cn",
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and line.split("=")[0] in err
+
+
 class TestStats:
     def test_row_printed(self, capsys, tmp_path):
         edges = tmp_path / "e.txt"
@@ -296,6 +318,81 @@ class TestDeterminism:
                          "--out-edges", str(e), "--out-attrs", str(a)]) == 0
             files.append((e.read_bytes(), a.read_bytes()))
         assert files[0] == files[1]
+
+
+class TestOptions:
+    SAMPLES = {float: "0.5", int: "7", str: "x.txt"}  # none is a default
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, (_, _, keys) in cli._COMMANDS.items() for key in keys])
+    def test_flag_and_config_key_agree(self, tmp_path, command, key):
+        default, kind, _ = cli.OPTIONS[key]
+        flag = "--" + key.replace("_", "-")
+        if kind is cli._parse_bool:
+            raw, argv = "true", [flag]
+        else:
+            raw = self.SAMPLES[kind]
+            argv = [flag, raw]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={raw}\n")
+        parser = cli._build_parser()
+        from_flag = cli._resolve(parser.parse_args([command] + argv), command)
+        from_file = cli._resolve(parser.parse_args([command, "--config", str(cfg)]), command)
+        assert from_flag == from_file
+        assert from_flag[key] != default
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_names_every_flag(self, capsys, command):
+        flags = _help_flags(command, capsys)
+        for key in cli._COMMANDS[command][2]:
+            assert "--" + key.replace("_", "-") in flags
+
+    def test_readme_documents_exactly_the_parser_flags(self, capsys):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        start = text.index("## Command line")
+        section = text[start:text.index("\n## ", start)]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        if re.search(r"(?<![\w-])-v\b", section):
+            documented.add("--verbose")
+        parsed = set().union(*(_help_flags(command, capsys) for command in cli._COMMANDS))
+        assert documented - parsed == set()
+        assert parsed - documented == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--method", "randwalk", "--c", "5"],
+        ["evaluate", "--auc", "bogus"],
+        ["evaluate", "--init", "bogus"],
+        ["evaluate", "--split", "1.5"],
+    ])
+    def test_bad_value_fails_before_any_file_is_written(self, triangle_minus_edge, tmp_path,
+                                                         argv):
+        edges, attrs = triangle_minus_edge
+        id_map = tmp_path / "m.csv"
+        assert main(argv + ["--edges", str(edges), "--attrs", str(attrs),
+                            "--id-map", str(id_map)]) == 1
+        assert not id_map.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--method", "randwalk", "--tol"],
+        ["evaluate", "--method", "lp", "--lp-epsilon"],
+        ["evaluate", "--method", "katz", "--katz-beta"],
+        ["generate", "--attr-noise"],
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_is_config_error(self, planted_files, tmp_path, argv, value):
+        edges, attrs = planted_files
+        out_edges = tmp_path / "out_edges.txt"
+        files = (["--out-edges", str(out_edges), "--out-attrs", str(tmp_path / "out_attrs.txt")]
+                 if argv[0] == "generate" else ["--edges", str(edges), "--attrs", str(attrs)])
+        assert main(argv + [value] + files) == 1
+        assert not out_edges.exists()
+
+
+def _help_flags(command, capsys) -> set:
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
 
 
 def test_bad_usage_exits_one():

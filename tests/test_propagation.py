@@ -40,6 +40,7 @@ class TestPropagationConfig:
     @pytest.mark.parametrize("kwargs", [
         {"c": 0.0}, {"c": 1.0}, {"c": -0.2}, {"tolerance": 0.0},
         {"max_iterations": 0}, {"init_mode": "adjacency"},
+        {"tolerance": np.nan}, {"tolerance": np.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

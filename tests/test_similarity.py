@@ -59,6 +59,16 @@ class TestSimilarityMatrix:
         values = similarity_matrix(g).values
         assert np.array_equal(values, values.T)
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (7, 1), (64, 2), (300, 5), (1465, 50)])
+    def test_bitwise_symmetry_across_shapes(self, n, m):
+        # no mirror step: X X^T must come out symmetric from the product
+        # itself, with zero rows and negative attributes included
+        rng = np.random.default_rng(n * m)
+        attrs = rng.random((n, m)) - 0.3
+        attrs[rng.random(n) < 0.1] = 0.0
+        values = similarity_matrix(AttributedGraph.build(n, [], attributes=attrs)).values
+        assert np.array_equal(values.view(np.int64), values.T.view(np.int64))
+
     def test_zero_row_zero_diagonal(self):
         g = AttributedGraph.build(2, [(0, 1)], attributes=np.array([[0., 0.], [1., 0.]]))
         values = similarity_matrix(g).values
