@@ -1,16 +1,9 @@
 """Classical topological link-prediction indices.
 
 Eight local indices built on common-neighbor counts z = |N(x) ∩ N(y)| and
-degrees k, plus two path-based ones:
+degrees k (cn, salton, jaccard, sorensen, hpi, hdi, lhn-i, pa; each one's
+formula is its entry in ``_LOCAL_FORMULAS``), plus two path-based ones:
 
-    cn        z
-    salton    z / sqrt(k_x * k_y)
-    jaccard   z / |N(x) ∪ N(y)|
-    sorensen  2z / (k_x + k_y)
-    hpi       z / min(k_x, k_y)
-    hdi       z / max(k_x, k_y)
-    lhn-i     z / (k_x * k_y)
-    pa        k_x * k_y
     lp        (A^2) + eps * (A^3)
     katz      sum_{l>=1} beta^l (A^l)  =  (I - beta A)^{-1} - I
 
@@ -29,7 +22,24 @@ from .errors import ConfigError
 from .graph import AttributedGraph
 from .propagation import ScoreMatrix
 
-LOCAL_INDEX_KINDS = ("cn", "salton", "jaccard", "sorensen", "hpi", "hdi", "lhn-i", "pa")
+# kind -> (numerator, denominator) over the common-neighbor counts z and the
+# degrees kx of the row node and ky of the column node; a kind builds only
+# the arrays its formula needs, and pairs whose denominator is 0 score 0
+_LOCAL_FORMULAS = {
+    "cn": lambda z, kx, ky: (z, 1.0),
+    "salton": lambda z, kx, ky: (z, np.sqrt(kx * ky)),
+    "jaccard": lambda z, kx, ky: (z, kx + ky - z),
+    "sorensen": lambda z, kx, ky: (2.0 * z, kx + ky),
+    "hpi": lambda z, kx, ky: (z, np.minimum(kx, ky)),
+    "hdi": lambda z, kx, ky: (z, np.maximum(kx, ky)),
+    "lhn-i": lambda z, kx, ky: (z, kx * ky),
+    "pa": lambda z, kx, ky: (kx * ky, 1.0),
+}
+LOCAL_INDEX_KINDS = tuple(_LOCAL_FORMULAS)
+
+# alternate spellings of method names -> canonical name
+ALIASES = {"sorenson": "sorensen", "lhn": "lhn-i", "lhn1": "lhn-i", "lhn-1": "lhn-i",
+           "kaze": "katz"}
 
 
 @dataclass
@@ -45,47 +55,22 @@ class BaselineConfig:
             raise ConfigError(f"katz_beta must be positive and finite, got {self.katz_beta}")
 
 
-def _canonical_kind(kind: str) -> str:
-    key = kind.strip().lower()
-    if key == "sorenson":  # common alternate spelling
-        key = "sorensen"
-    if key in ("lhn", "lhn1", "lhn-1"):
-        key = "lhn-i"
-    return key
+def canonical_name(name: str) -> str:
+    """Lower-case, trimmed method name with aliases resolved; not validated."""
+    key = name.strip().lower()
+    return ALIASES.get(key, key)
 
 
 def local_index(kind: str, graph: AttributedGraph) -> ScoreMatrix:
     """Score every node pair with one of the eight local indices."""
-    key = _canonical_kind(kind)
-    if key not in LOCAL_INDEX_KINDS:
+    formula = _LOCAL_FORMULAS.get(canonical_name(kind))
+    if formula is None:
         raise ConfigError(f"unknown local index {kind!r}; valid: {', '.join(LOCAL_INDEX_KINDS)}")
     adjacency = graph.adjacency_matrix()
-    common = (adjacency @ adjacency).toarray()
-    np.fill_diagonal(common, 0.0)
     deg = graph.degrees.astype(np.float64)
-    k_outer = np.multiply.outer(deg, deg)
-    k_sum = np.add.outer(deg, deg)
-
-    if key == "cn":
-        values = common
-    elif key == "pa":
-        values = k_outer.copy()
-    else:
-        if key == "salton":
-            denom = np.sqrt(k_outer)
-        elif key == "jaccard":
-            denom = k_sum - common
-        elif key == "sorensen":
-            denom = k_sum
-            common = 2.0 * common
-        elif key == "hpi":
-            denom = np.minimum.outer(deg, deg)
-        elif key == "hdi":
-            denom = np.maximum.outer(deg, deg)
-        else:  # lhn-i
-            denom = k_outer
-        values = np.zeros_like(common)
-        np.divide(common, denom, out=values, where=denom > 0)
+    numerator, denominator = formula((adjacency @ adjacency).toarray(), deg[:, None], deg)
+    values = np.zeros((graph.n, graph.n))
+    np.divide(numerator, denominator, out=values, where=denominator > 0)
     np.fill_diagonal(values, 0.0)
     return ScoreMatrix(values=values)
 

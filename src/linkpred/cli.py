@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .evaluation import (METHOD_NAMES, ExperimentConfig, canonical_method,
                          format_report, run_experiment, score_method)
 from .graph import (load_attributes, load_edge_list, nonedge_mask, save_attributes,
@@ -154,15 +154,23 @@ def _require_file(path, flag: str):
     return path
 
 
+def _indexing(opts: dict) -> str:
+    return "one" if opts.get("one_based") else "zero"
+
+
 def _load_graph(opts: dict):
-    indexing = "one" if opts.get("one_based") else "zero"
+    indexing = _indexing(opts)
     graph = load_edge_list(_require_file(opts.get("edges"), "--edges"), indexing=indexing)
     if opts.get("attrs"):
         graph = load_attributes(_require_file(opts["attrs"], "--attrs"), graph,
                                 indexing=indexing)
-    if opts.get("id_map"):
-        write_id_map(opts["id_map"], graph.n, indexing)
     return graph
+
+
+def _write_id_map(opts: dict, graph) -> None:
+    # written with a command's other outputs, so a failing command writes none
+    if opts.get("id_map"):
+        write_id_map(opts["id_map"], graph.n, _indexing(opts))
 
 
 def _experiment_config(opts: dict) -> ExperimentConfig:
@@ -216,7 +224,10 @@ def cmd_predict(opts: dict) -> int:
     method = canonical_method(names[0])
     cfg = _experiment_config(opts)
     graph = _load_graph(opts)
+    if opts.get("dump_sim") and graph.attr_dim == 0:
+        raise ConfigError("--dump-sim: graph has no attributes loaded")
     scores = score_method(method, graph, cfg)
+    _write_id_map(opts, graph)
     if opts.get("dump_sim"):
         sim = similarity_matrix(graph)
         np.savetxt(opts["dump_sim"], sim.values, delimiter=",", fmt="%.12g")
@@ -239,11 +250,14 @@ def cmd_predict(opts: dict) -> int:
 
 
 def cmd_evaluate(opts: dict) -> int:
-    methods = _method_list(opts["method"])
+    if opts["reps"] < 1:
+        raise ConfigError(f"--reps must be >= 1, got {opts['reps']}")
+    methods = [canonical_method(name) for name in _method_list(opts["method"])]
     cfg = _experiment_config(opts)
     graph = _load_graph(opts)
     dataset = opts["dataset"] or Path(opts["edges"]).stem
     report = run_experiment(graph, methods, cfg, repetitions=opts["reps"], dataset=dataset)
+    _write_id_map(opts, graph)
     text = format_report(report, timing=opts["timing"])
     sys.stdout.write(text)
     if opts.get("out"):
@@ -258,6 +272,7 @@ def cmd_evaluate(opts: dict) -> int:
 def cmd_stats(opts: dict) -> int:
     graph = _load_graph(opts)
     text = format_stats(stats_report(graph)) + "\n"
+    _write_id_map(opts, graph)
     sys.stdout.write(text)
     if opts.get("out"):
         _write_text(opts["out"], text)
@@ -315,10 +330,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"linkpred: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
-        print(f"linkpred: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except ValueError as exc:  # DataError and its subclasses included
         print(f"linkpred: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import (LOCAL_INDEX_KINDS, BaselineConfig, _canonical_kind,
-                        katz_index, local_index, lp_index)
+from .baselines import (LOCAL_INDEX_KINDS, BaselineConfig, canonical_name, katz_index,
+                        local_index, lp_index)
 from .errors import ConfigError, EvaluationError
 from .graph import AttributedGraph, nonedge_mask
 from .propagation import PropagationConfig, ScoreMatrix, randwalk_solve
@@ -30,7 +30,17 @@ logger = logging.getLogger(__name__)
 
 TIE_TOLERANCE = 1e-12
 
-METHOD_NAMES = ("randwalk",) + LOCAL_INDEX_KINDS + ("lp", "katz")
+# method -> scorer(graph, cfg). Each lambda looks its scorer up on this module
+# when called, so a caller that replaces linkpred.evaluation.<scorer> (a
+# tracer, a test) sees every call.
+_SCORERS = {
+    "randwalk": lambda graph, cfg: randwalk_solve(graph, cfg.propagation),
+    **{kind: (lambda graph, cfg, kind=kind: local_index(kind, graph))
+       for kind in LOCAL_INDEX_KINDS},
+    "lp": lambda graph, cfg: lp_index(graph, cfg.baselines),
+    "katz": lambda graph, cfg: katz_index(graph, cfg.baselines),
+}
+METHOD_NAMES = tuple(_SCORERS)
 
 
 @dataclass(frozen=True)
@@ -94,29 +104,20 @@ class ExperimentConfig:
             raise ConfigError(f"auc mode must be 'sampled' or 'exact', got {self.auc_mode!r}")
         if self.auc_samples < 1:
             raise ConfigError(f"auc_samples must be >= 1, got {self.auc_samples}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
 
 def canonical_method(name: str) -> str:
-    key = _canonical_kind(name)
-    if key == "kaze":
-        key = "katz"
-    if key not in METHOD_NAMES:
+    key = canonical_name(name)
+    if key not in _SCORERS:
         raise ConfigError(f"unknown method {name!r}; valid: {', '.join(METHOD_NAMES)}")
     return key
 
 
 def score_method(name: str, graph: AttributedGraph, cfg: ExperimentConfig) -> ScoreMatrix:
     """Run one scoring method by name on a graph."""
-    key = canonical_method(name)
-    if key == "randwalk":
-        if graph.attr_dim == 0:
-            raise ConfigError("method 'randwalk' requires node attributes")
-        return randwalk_solve(graph, cfg.propagation)
-    if key == "lp":
-        return lp_index(graph, cfg.baselines)
-    if key == "katz":
-        return katz_index(graph, cfg.baselines)
-    return local_index(key, graph)
+    return _SCORERS[canonical_method(name)](graph, cfg)
 
 
 def split_probe(graph: AttributedGraph, fraction: float, seed: int) -> ProbeSplit:

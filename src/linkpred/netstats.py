@@ -165,6 +165,8 @@ def generate_planted_attribute_graph(n: int, k_groups: int, p_in: float, p_out: 
         raise ConfigError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if not 0.0 <= attr_noise < np.inf:  # false for nan as well
         raise ConfigError(f"attr_noise must be non-negative and finite, got {attr_noise}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     group = np.zeros(n, dtype=np.int64)
     for g, block in enumerate(np.array_split(np.arange(n), k_groups)):

@@ -88,24 +88,6 @@ class ScoreMatrix:
         return self.values.shape[0]
 
 
-def _pair_denominator(graph: AttributedGraph, weights: TransmissionWeights) -> np.ndarray:
-    # D[a, b] = deg(b) * W(a) + deg(a) * W(b); symmetric by commutativity.
-    d = graph.degrees.astype(np.float64)
-    w = weights.node_sum
-    return np.multiply.outer(w, d) + np.multiply.outer(d, w)
-
-
-def _damped_denominator(denom: np.ndarray, c: float) -> np.ndarray:
-    """D / c in place of D, inf where D = 0 so that those pairs score 0.
-
-    Sweeps divide by this rather than multiply by c / D, which overflows
-    to inf when D is subnormal (a near-zero attribute similarity).
-    """
-    denom /= c
-    denom[denom == 0.0] = np.inf
-    return denom
-
-
 class _TiledSweep:
     """One Jacobi sweep S -> c * (W S A + A S W) / D, fused over tiles.
 
@@ -116,11 +98,20 @@ class _TiledSweep:
     second product lives in a buffer allocated once per solve.
     """
 
-    def __init__(self, adjacency, edge_prob, d_over_c: np.ndarray) -> None:
-        n = d_over_c.shape[0]
+    def __init__(self, adjacency, edge_prob, c: float) -> None:
+        n = adjacency.shape[0]
         self.adjacency = adjacency
         self.edge_prob = edge_prob
-        self.d_over_c = d_over_c
+        # D (module docstring) from the row sums deg of A and W of the edge
+        # weights; symmetric by commutativity. Sweeps divide by D / c, inf
+        # where D = 0 so those pairs score 0, rather than multiply by c / D,
+        # which overflows to inf when D is subnormal (a near-zero attribute
+        # similarity).
+        deg = np.asarray(adjacency.sum(axis=1)).ravel()
+        weight = np.asarray(edge_prob.sum(axis=1)).ravel()
+        self.d_over_c = np.multiply.outer(weight, deg) + np.multiply.outer(deg, weight)
+        self.d_over_c /= c
+        self.d_over_c[self.d_over_c == 0.0] = np.inf
         self.transposed = np.empty((n, n))
         self.tile = np.empty((min(n, _TILE), min(n, _TILE)))
         self.spans = [slice(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
@@ -186,9 +177,7 @@ def simrank_classic(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatr
     if graph.n == 0:
         raise ValueError("graph must have at least one node")
     adjacency = graph.adjacency_matrix()
-    d = graph.degrees.astype(np.float64)
-    d_over_c = _damped_denominator(2.0 * np.multiply.outer(d, d), cfg.c)
-    sweep = _TiledSweep(adjacency, adjacency, d_over_c)
+    sweep = _TiledSweep(adjacency, adjacency, cfg.c)
     return _fixed_point(sweep, np.eye(graph.n), cfg, "simrank")
 
 
@@ -241,8 +230,7 @@ def randwalk_step(s_prev: ScoreMatrix, graph: AttributedGraph,
 def matrix_form_step(s_prev: ScoreMatrix, graph: AttributedGraph,
                      weights: TransmissionWeights, c: float) -> ScoreMatrix:
     """One sweep via sparse matrix products; equals randwalk_step entrywise."""
-    d_over_c = _damped_denominator(_pair_denominator(graph, weights), c)
-    sweep = _TiledSweep(graph.adjacency_matrix(), weights.edge_prob, d_over_c)
+    sweep = _TiledSweep(graph.adjacency_matrix(), weights.edge_prob, c)
     values = np.empty(s_prev.values.shape)
     sweep(s_prev.values, values)
     return ScoreMatrix(values=values)
@@ -262,6 +250,5 @@ def randwalk_solve(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatri
     weights = transmission_weights(graph, sim)
     scores = randwalk_init(graph, sim, cfg.init_mode).values
     del sim  # one n x n array fewer while the solver's buffers are live
-    d_over_c = _damped_denominator(_pair_denominator(graph, weights), cfg.c)
-    sweep = _TiledSweep(graph.adjacency_matrix(), weights.edge_prob, d_over_c)
+    sweep = _TiledSweep(graph.adjacency_matrix(), weights.edge_prob, cfg.c)
     return _fixed_point(sweep, scores, cfg, "randwalk")

@@ -5,6 +5,7 @@ import pytest
 
 from linkpred import (AttributedGraph, BaselineConfig, ConfigError, katz_index,
                       local_index, lp_index, LOCAL_INDEX_KINDS)
+from linkpred.baselines import ALIASES
 from _helpers import adjacency_sets, make_gnp
 from _oracles import oracle_katz_series, oracle_local_matrix, oracle_lp_matrix
 
@@ -65,6 +66,18 @@ class TestLocalIndices:
         g = path3()
         assert np.array_equal(local_index("Sorenson", g).values,
                               local_index("sorensen", g).values)
+        g = make_gnp(25, 0.2, 4)
+        local_aliases = {a: k for a, k in ALIASES.items() if k in LOCAL_INDEX_KINDS}
+        assert set(local_aliases) == {"sorenson", "lhn", "lhn1", "lhn-1"}
+        for alias, kind in local_aliases.items():
+            expected = local_index(kind, g).values
+            for spelling in (alias, alias.upper(), f" {alias} "):
+                assert np.array_equal(local_index(spelling, g).values, expected)
+
+    def test_kinds_pinned(self):
+        # order fixes the report rows and the benchmark references
+        assert LOCAL_INDEX_KINDS == ("cn", "salton", "jaccard", "sorensen", "hpi", "hdi",
+                                     "lhn-i", "pa")
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown local index"):

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkpred import cli, load_attributes, load_edge_list, save_attributes, save_edge_list
+from linkpred import (METHOD_NAMES, cli, load_attributes, load_edge_list, save_attributes,
+                      save_edge_list)
+from linkpred.baselines import ALIASES
 from linkpred.cli import main
 from _helpers import graph_from_edges, make_gnp
 
@@ -358,19 +360,36 @@ class TestOptions:
         assert documented - parsed == set()
         assert parsed - documented == set()
 
+    # "@name" stands for tmp_path / name; the fixture holds edges.txt and attrs.txt
     @pytest.mark.parametrize("argv", [
-        ["predict", "--method", "randwalk", "--c", "5"],
-        ["evaluate", "--auc", "bogus"],
-        ["evaluate", "--init", "bogus"],
-        ["evaluate", "--split", "1.5"],
+        ["predict", "--method", "randwalk", "--c", "5", "--attrs", "@attrs.txt"],
+        ["evaluate", "--auc", "bogus", "--attrs", "@attrs.txt"],
+        ["evaluate", "--init", "bogus", "--attrs", "@attrs.txt"],
+        ["evaluate", "--split", "1.5", "--attrs", "@attrs.txt"],
+        ["predict", "--method", "randwalk"],
+        ["evaluate", "--method", "cn", "--reps", "0"],
+        ["evaluate", "--method", "cn,pagerank"],
+        ["predict", "--method", "cn", "--dump-sim", "@s.csv", "--out", "@p.csv"],
+        ["evaluate", "--method", "cn", "--seed", "-1", "--attrs", "@attrs.txt"],
+        ["generate", "--seed", "-1", "--out-edges", "@g_edges.txt",
+         "--out-attrs", "@g_attrs.txt"],
     ])
     def test_bad_value_fails_before_any_file_is_written(self, triangle_minus_edge, tmp_path,
                                                          argv):
-        edges, attrs = triangle_minus_edge
-        id_map = tmp_path / "m.csv"
-        assert main(argv + ["--edges", str(edges), "--attrs", str(attrs),
-                            "--id-map", str(id_map)]) == 1
-        assert not id_map.exists()
+        if argv[0] != "generate":
+            argv = argv + ["--edges", "@edges.txt", "--id-map", "@m.csv"]
+        argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        assert main(argv) == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["attrs.txt", "edges.txt"]
+
+    def test_readme_methods_table_names_exactly_the_methods(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        start = text.index("## Methods")
+        section = text[start:text.index("\n## ", start)]
+        rows = re.findall(r"^\| ([^|]+?) \|", section, flags=re.MULTILINE)
+        assert tuple(rows[1:]) == METHOD_NAMES  # rows[0] is the header
+        for alias in ALIASES:
+            assert f"`{alias}`" in section
 
     @pytest.mark.parametrize("argv", [
         ["predict", "--method", "randwalk", "--tol"],

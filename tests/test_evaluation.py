@@ -3,10 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from linkpred import (AttributedGraph, ConfigError, EvaluationError, ExperimentConfig,
-                      ScoreMatrix, auc_exact, auc_sampled, canonical_method,
+from linkpred import (LOCAL_INDEX_KINDS, METHOD_NAMES, AttributedGraph, ConfigError,
+                      EvaluationError, ExperimentConfig, ScoreMatrix, auc_exact,
+                      auc_sampled, canonical_method,
                       format_report, generate_planted_attribute_graph, local_index,
                       run_experiment, split_probe)
+from linkpred import evaluation
+from linkpred.baselines import ALIASES
 from _helpers import make_gnp
 from _oracles import oracle_auc, oracle_auc_chunked
 
@@ -309,10 +312,36 @@ class TestRunExperiment:
         assert canonical_method("Kaze") == "katz"
         assert canonical_method("LHN-I") == "lhn-i"
         assert canonical_method("RandWalk") == "randwalk"
+        for alias, name in ALIASES.items():
+            assert name in METHOD_NAMES
+            for spelling in (alias, alias.upper(), f" {alias} "):
+                assert canonical_method(spelling) == canonical_method(name) == name
+
+    def test_method_names_pinned(self):
+        # order fixes the report rows and the benchmark references
+        assert METHOD_NAMES == ("randwalk", "cn", "salton", "jaccard", "sorensen", "hpi",
+                                "hdi", "lhn-i", "pa", "lp", "katz")
+
+    @pytest.mark.parametrize("scorer,methods", [
+        ("randwalk_solve", ["randwalk"]),
+        ("local_index", list(LOCAL_INDEX_KINDS)),
+        ("lp_index", ["lp"]),
+        ("katz_index", ["katz", "kaze"]),
+    ])
+    def test_score_method_calls_module_attribute(self, monkeypatch, scorer, methods):
+        # wrappers installed on linkpred.evaluation (the benchmark tracer does
+        # this) must see every call
+        calls = []
+        sentinel = ScoreMatrix(values=np.zeros((1, 1)))
+        monkeypatch.setattr(evaluation, scorer, lambda *args: calls.append(args) or sentinel)
+        g = make_gnp(10, 0.3, 1, attrs="random")
+        for method in methods:
+            assert evaluation.score_method(method, g, ExperimentConfig()) is sentinel
+        assert len(calls) == len(methods)
 
     @pytest.mark.parametrize("kwargs", [
         {"split_fraction": 0.0}, {"split_fraction": 1.0},
-        {"auc_mode": "approximate"}, {"auc_samples": 0},
+        {"auc_mode": "approximate"}, {"auc_samples": 0}, {"master_seed": -1},
     ])
     def test_experiment_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
