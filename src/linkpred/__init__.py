@@ -18,24 +18,22 @@ from .netstats import (NetStatsRow, assortativity, avg_degree, clustering_coeffi
                        components, efficiency, format_stats,
                        generate_planted_attribute_graph, stats_report)
 from .propagation import (INIT_MODES, PropagationConfig, ScoreMatrix, matrix_form_step,
-                          randwalk_init, randwalk_solve, randwalk_step, simrank_classic)
-from .similarity import (SIMILARITY_KINDS, SimilarityMatrix, TransmissionWeights,
-                         cosine_similarity, similarity_matrix, transmission_weights)
+                          randwalk_init, randwalk_solve, simrank_classic)
+from .similarity import (SimilarityMatrix, TransmissionWeights, similarity_matrix,
+                         transmission_weights)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributedGraph", "AucResult", "BaselineConfig", "ConfigError", "DataError",
     "EvalReport", "EvaluationError", "ExperimentConfig", "INIT_MODES",
-    "LOCAL_INDEX_KINDS", "LinkpredError", "METHOD_NAMES", "MethodResult",
-    "NetStatsRow", "ParseError", "ProbeSplit", "PropagationConfig",
-    "SIMILARITY_KINDS", "ScoreMatrix", "SimilarityMatrix", "TIE_TOLERANCE",
-    "TransmissionWeights", "assortativity", "auc_exact", "auc_sampled",
+    "LOCAL_INDEX_KINDS", "LinkpredError", "METHOD_NAMES", "MethodResult", "NetStatsRow",
+    "ParseError", "ProbeSplit", "PropagationConfig", "ScoreMatrix", "SimilarityMatrix",
+    "TIE_TOLERANCE", "TransmissionWeights", "assortativity", "auc_exact", "auc_sampled",
     "avg_degree", "canonical_method", "clustering_coefficient", "components",
-    "cosine_similarity", "efficiency", "format_report", "format_stats",
-    "generate_planted_attribute_graph", "katz_index", "load_attributes",
-    "load_edge_list", "local_index", "lp_index", "matrix_form_step",
-    "randwalk_init", "randwalk_solve", "randwalk_step", "run_experiment",
+    "efficiency", "format_report", "format_stats", "generate_planted_attribute_graph",
+    "katz_index", "load_attributes", "load_edge_list", "local_index", "lp_index",
+    "matrix_form_step", "randwalk_init", "randwalk_solve", "run_experiment",
     "save_attributes", "save_edge_list", "score_method", "similarity_matrix",
     "simrank_classic", "split_probe", "stats_report", "transmission_weights",
     "write_id_map",

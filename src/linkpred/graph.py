@@ -9,8 +9,12 @@ save/load round trip; without it, n = 1 + max node id.
 
 Attributes: a header line ``#dense m`` or ``#sparse m`` declares the
 attribute count, then one node per line. Dense lines hold ``node_id``
-followed by m values; sparse lines hold ``node_id idx:value ...``.
-Nodes absent from the file get the all-zero vector.
+followed by m values; sparse lines hold ``node_id idx:value ...`` with
+each index at most once. Nodes absent from the file get the all-zero
+vector.
+
+Data lines are plain ASCII: ids and indices are ASCII decimal integers,
+and ``_`` digit separators are rejected.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .errors import ConfigError, ParseError
 
 logger = logging.getLogger(__name__)
 
-_NODES_DIRECTIVE = re.compile(r"#\s*nodes\s+(\d+)\s*$")
-_ATTR_HEADER = re.compile(r"#\s*(dense|sparse)\s+(\d+)\s*$")
+_NODES_DIRECTIVE = re.compile(r"#\s*nodes\s+(\d+)\s*$", re.ASCII)
+_ATTR_HEADER = re.compile(r"#\s*(dense|sparse)\s+(\d+)\s*$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -36,10 +40,9 @@ class AttributedGraph:
     """Undirected graph with optional per-node attribute vectors.
 
     Nodes are dense 0-based indices. The adjacency is kept in CSR form
-    (``indptr``/``indices``, neighbor lists sorted ascending): iteration is
-    O(degree) and a membership test is a binary search of one row.
-    Instances are immutable after construction; all arrays should be
-    treated as read-only.
+    (``indptr``/``indices``, neighbor lists sorted ascending), so iteration
+    is O(degree). Instances are immutable after construction; all arrays
+    should be treated as read-only.
     """
 
     n: int
@@ -100,18 +103,6 @@ class AttributedGraph:
             raise IndexError(f"node {v} out of range for graph with {self.n} nodes")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"node {v} out of range for graph with {self.n} nodes")
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        if not 0 <= j < self.n:
-            raise IndexError(f"node {j} out of range for graph with {self.n} nodes")
-        k = np.searchsorted(row, j)
-        return bool(k < len(row) and row[k] == j)
-
     def adjacency_matrix(self) -> sp.csr_matrix:
         """Binary adjacency as a scipy CSR matrix (float64)."""
         data = np.ones(len(self.indices), dtype=np.float64)
@@ -135,6 +126,12 @@ def nonedge_mask(n: int, *edge_sets) -> np.ndarray:
         lo, hi = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1).T
         mask[lo, hi] = False
     return mask
+
+
+def _check_ascii_numbers(line: str, path, lineno: int) -> None:
+    # int() and float() also read '_' digit separators and non-ASCII digits
+    if not line.isascii() or "_" in line:
+        raise ParseError(f"{path}:{lineno}: numbers must be plain ASCII, got {line!r}")
 
 
 def _parse_node_id(token: str, indexing: str, path, lineno: int) -> int:
@@ -178,6 +175,7 @@ def load_edge_list(path, indexing: str = "zero") -> AttributedGraph:
                 if m:
                     declared_n = max(declared_n, int(m.group(1)))
                 continue
+            _check_ascii_numbers(line, path, lineno)
             tokens = line.split()
             if len(tokens) != 2:
                 raise ParseError(f"{path}:{lineno}: expected two node ids, got {line!r}")
@@ -231,6 +229,7 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
                 continue
             if fmt is None or values is None:
                 raise ParseError(f"{path}:{lineno}: data before '#dense m' / '#sparse m' header")
+            _check_ascii_numbers(line, path, lineno)
             tokens = line.split()
             node = _parse_node_id(tokens[0], indexing, path, lineno)
             if node >= graph.n:
@@ -250,6 +249,7 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
                 negatives += int(np.sum(row < 0))
             else:
                 row = np.zeros(attr_dim)
+                filled = set()
                 for tok in tokens[1:]:
                     idx_str, _, val_str = tok.partition(":")
                     if not val_str:
@@ -265,6 +265,9 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
                         raise ParseError(
                             f"{path}:{lineno}: attribute index {idx_str} out of range for {attr_dim} attributes"
                         )
+                    if idx in filled:
+                        raise ParseError(f"{path}:{lineno}: attribute index {idx_str} repeated")
+                    filled.add(idx)
                     row[idx] = val
                     negatives += int(val < 0)
             if not np.isfinite(row).all():

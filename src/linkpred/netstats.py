@@ -4,8 +4,7 @@ Definitional choices (several of these quantities have competing
 definitions in the literature):
 
 - clustering: mean local coefficient, triangles(v) / C(deg(v), 2), with
-  degree < 2 nodes contributing 0 (set ``low_degree="exclude"`` to drop
-  them from the mean instead);
+  degree < 2 nodes contributing 0;
 - efficiency: global efficiency, the average of 1/dist over all ordered
   node pairs with 1/inf = 0 across components;
 - assortativity: Pearson correlation of endpoint degrees over edges, each
@@ -60,14 +59,8 @@ def avg_degree(graph: AttributedGraph) -> float:
     return 2.0 * graph.m_edges / graph.n
 
 
-def clustering_coefficient(graph: AttributedGraph, low_degree: str = "zero") -> float:
-    """Mean local clustering coefficient.
-
-    ``low_degree`` selects how degree < 2 nodes enter the mean: "zero"
-    counts them as 0, "exclude" drops them.
-    """
-    if low_degree not in ("zero", "exclude"):
-        raise ConfigError(f"low_degree must be 'zero' or 'exclude', got {low_degree!r}")
+def clustering_coefficient(graph: AttributedGraph) -> float:
+    """Mean local clustering coefficient; degree < 2 nodes count as 0."""
     if graph.n == 0:
         return 0.0
     adjacency = graph.adjacency_matrix()
@@ -79,11 +72,6 @@ def clustering_coefficient(graph: AttributedGraph, low_degree: str = "zero") -> 
     possible = deg * (deg - 1.0) / 2.0
     local = np.zeros(graph.n)
     np.divide(triangles, possible, out=local, where=possible > 0)
-    if low_degree == "exclude":
-        eligible = deg >= 2
-        if not eligible.any():
-            return 0.0
-        return float(local[eligible].mean())
     return float(local.mean())
 
 

@@ -193,43 +193,12 @@ def randwalk_init(graph: AttributedGraph, sim: SimilarityMatrix, mode: str) -> S
     return ScoreMatrix(values=values)
 
 
-def randwalk_step(s_prev: ScoreMatrix, graph: AttributedGraph,
-                  weights: TransmissionWeights, c: float) -> ScoreMatrix:
-    """One sweep evaluated directly from the per-pair double sum.
-
-    Reference path for the matrix-form fast path; contracts are identical.
-    Expects a symmetric ``s_prev`` with unit diagonal.
-    """
-    scores = s_prev.values
-    n = graph.n
-    prob = weights.edge_prob
-    node_sum = weights.node_sum
-    deg = graph.degrees.astype(np.float64)
-    out = np.zeros((n, n))
-    for a in range(n):
-        nbrs_a = graph.neighbors(a)
-        if nbrs_a.size == 0:
-            continue
-        w_a = prob.data[prob.indptr[a]:prob.indptr[a + 1]]
-        for b in range(a + 1, n):
-            denom = deg[b] * node_sum[a] + deg[a] * node_sum[b]
-            if denom <= 0.0:
-                continue
-            nbrs_b = graph.neighbors(b)
-            if nbrs_b.size == 0:
-                continue
-            w_b = prob.data[prob.indptr[b]:prob.indptr[b + 1]]
-            block = scores[np.ix_(nbrs_a, nbrs_b)]
-            total = float(((w_a[:, None] + w_b[None, :]) * block).sum())
-            out[a, b] = c * total / denom
-    out = out + out.T
-    np.fill_diagonal(out, 1.0)
-    return ScoreMatrix(values=out)
-
-
 def matrix_form_step(s_prev: ScoreMatrix, graph: AttributedGraph,
                      weights: TransmissionWeights, c: float) -> ScoreMatrix:
-    """One sweep via sparse matrix products; equals randwalk_step entrywise."""
+    """One sweep of the weighted recursion, computed as the solvers compute it.
+
+    Expects a symmetric ``s_prev``, as every solver iterate is.
+    """
     sweep = _TiledSweep(graph.adjacency_matrix(), weights.edge_prob, c)
     values = np.empty(s_prev.values.shape)
     sweep(s_prev.values, values)

@@ -15,13 +15,13 @@ import pytest
 
 from linkpred import (ExperimentConfig, PropagationConfig, ScoreMatrix,
                       auc_exact, auc_sampled, generate_planted_attribute_graph,
-                      matrix_form_step, randwalk_solve, randwalk_step, run_experiment,
+                      matrix_form_step, randwalk_solve, run_experiment,
                       katz_index, local_index, lp_index, BaselineConfig,
                       similarity_matrix, simrank_classic, split_probe,
                       transmission_weights, LOCAL_INDEX_KINDS)
 from _helpers import adjacency_sets, make_gnp
 from _oracles import (oracle_auc, oracle_katz_series, oracle_local_matrix,
-                      oracle_lp_matrix)
+                      oracle_lp_matrix, oracle_randwalk_step, oracle_sim_matrix)
 
 ATTENUATION = 0.8
 
@@ -107,10 +107,11 @@ def test_a4_step_equivalence():
         prev = rng.random((n, n))
         prev = (prev + prev.T) / 2
         np.fill_diagonal(prev, 1.0)
-        state = ScoreMatrix(values=prev)
-        direct = randwalk_step(state, graph, weights, ATTENUATION)
-        fast = matrix_form_step(state, graph, weights, ATTENUATION)
-        worst = max(worst, float(np.abs(direct.values - fast.values).max()))
+        # the oracle computes its own cosines, independent of transmission_weights
+        sim = oracle_sim_matrix(graph.attributes.tolist())
+        direct = oracle_randwalk_step(prev.tolist(), adjacency_sets(graph), sim, ATTENUATION)
+        fast = matrix_form_step(ScoreMatrix(values=prev), graph, weights, ATTENUATION)
+        worst = max(worst, float(np.abs(direct - fast.values).max()))
     assert worst < 1e-10
     print(f"\nA4 PASS: matrix-form sweep equals direct double-sum sweep, max gap {worst:.2e} over 50 instances")
 
@@ -149,9 +150,10 @@ def test_a6_auc_correctness():
         probe_scores = [values[i, j] for i, j in split.probe_edges.tolist()]
         nonedge_scores = []
         probe_set = {tuple(sorted(e)) for e in split.probe_edges.tolist()}
+        train_adj = adjacency_sets(split.train_graph)
         for i in range(graph.n):
             for j in range(i + 1, graph.n):
-                if not split.train_graph.has_edge(i, j) and (i, j) not in probe_set:
+                if j not in train_adj[i] and (i, j) not in probe_set:
                     nonedge_scores.append(values[i, j])
         auc, higher, equal, total = oracle_auc(probe_scores, nonedge_scores)
         assert (exact.auc, exact.n_higher, exact.n_equal, exact.n_comparisons) == \

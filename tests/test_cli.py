@@ -111,6 +111,12 @@ class TestPredict:
         bad.write_text("0 1\nbroken\n")
         assert main(["predict", "--edges", str(bad), "--method", "cn"]) == 2
 
+    def test_underscore_id_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n1_0 2\n")
+        assert main(["predict", "--edges", str(bad), "--method", "cn"]) == 2
+        assert "bad.txt:2:" in capsys.readouterr().err
+
     def test_nonconvergence_exit_code_still_writes(self, planted_files, tmp_path):
         edges, attrs = planted_files
         out = tmp_path / "pred.csv"

@@ -10,7 +10,7 @@ from linkpred import (LOCAL_INDEX_KINDS, METHOD_NAMES, AttributedGraph, ConfigEr
                       run_experiment, split_probe)
 from linkpred import evaluation
 from linkpred.baselines import ALIASES
-from _helpers import make_gnp
+from _helpers import adjacency_sets, make_gnp
 from _oracles import oracle_auc, oracle_auc_chunked
 
 
@@ -26,12 +26,12 @@ def _score_matrix(n, fill=None, seed=None):
 
 
 def _nonedge_pairs(split):
-    train = split.train_graph
+    train = adjacency_sets(split.train_graph)
     probe = {tuple(sorted(e)) for e in split.probe_edges.tolist()}
     pairs = []
-    for i in range(train.n):
-        for j in range(i + 1, train.n):
-            if not train.has_edge(i, j) and (i, j) not in probe:
+    for i in range(len(train)):
+        for j in range(i + 1, len(train)):
+            if j not in train[i] and (i, j) not in probe:
                 pairs.append((i, j))
     return pairs
 

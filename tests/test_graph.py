@@ -10,7 +10,7 @@ from _helpers import make_gnp
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -45,6 +45,21 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="invalid node id"):
             load_edge_list(_write(tmp_path, "e.txt", "0 x\n"))
 
+    @pytest.mark.parametrize("line", [
+        pytest.param("1_0 2", id="underscore"),
+        pytest.param("0 \u0661", id="arabic-indic-digit"),
+        pytest.param("\uff11 0", id="fullwidth-digit"),
+        pytest.param("0\u00a01", id="no-break-space"),
+    ])
+    def test_ids_must_be_plain_ascii(self, tmp_path, line):
+        path = _write(tmp_path, "e.txt", f"0 1\n{line}\n")
+        with pytest.raises(ParseError, match=r"e\.txt:2: numbers must be plain ASCII"):
+            load_edge_list(path)
+
+    def test_non_ascii_nodes_directive_is_a_comment(self, tmp_path):
+        g = load_edge_list(_write(tmp_path, "e.txt", "#nodes \u0661\u0660\n0 1\n"))
+        assert g.n == 2
+
     def test_negative_id(self, tmp_path):
         with pytest.raises(ParseError, match="out of range"):
             load_edge_list(_write(tmp_path, "e.txt", "-1 2\n"))
@@ -52,7 +67,7 @@ class TestLoadEdgeList:
     def test_one_based(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "e.txt", "1 2\n2 3\n"), indexing="one")
         assert g.n == 3
-        assert g.has_edge(0, 1) and g.has_edge(1, 2)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_one_based_rejects_zero(self, tmp_path):
         with pytest.raises(ParseError, match="out of range"):
@@ -60,7 +75,7 @@ class TestLoadEdgeList:
 
     def test_indexing_spelled_out(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "e.txt", "1 2\n"), indexing="one-based")
-        assert g.has_edge(0, 1)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_indexing_rejected(self, tmp_path):
         from linkpred import ConfigError
@@ -70,7 +85,7 @@ class TestLoadEdgeList:
     def test_gap_ids_become_isolated_nodes(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "e.txt", "0 1\n4 5\n"))
         assert g.n == 6
-        assert g.degree(2) == 0
+        assert g.degrees.tolist() == [1, 1, 0, 0, 1, 1]
 
     def test_nodes_directive(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "e.txt", "#nodes 7\n0 1\n"))
@@ -86,29 +101,25 @@ class TestTopology:
     def test_isolated_node(self):
         g = AttributedGraph.build(3, [(0, 1)])
         assert g.neighbors(2).tolist() == []
-        assert g.degree(2) == 0
+        assert g.degrees[2] == 0
 
     def test_triangle_degrees(self):
         g = AttributedGraph.build(3, [(0, 1), (1, 2), (0, 2)])
-        assert [g.degree(v) for v in range(3)] == [2, 2, 2]
+        assert g.degrees.tolist() == [2, 2, 2]
 
     def test_out_of_range(self):
         g = AttributedGraph.build(2, [(0, 1)])
-        with pytest.raises(IndexError):
-            g.neighbors(2)
-        with pytest.raises(IndexError):
-            g.degree(5)
-        for i, j in [(0, 2), (2, 0), (-1, 0), (0, -1)]:
+        for v in (2, 5, -1):
             with pytest.raises(IndexError):
-                g.has_edge(i, j)
+                g.neighbors(v)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_has_edge_matches_edge_list(self, seed):
+    def test_neighbors_match_edge_list(self, seed):
         g = make_gnp(40, 0.2, seed)
         edges = {tuple(e) for e in g.edges.tolist()}
         for i in range(g.n):
-            for j in range(g.n):
-                assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in edges)
+            assert set(g.neighbors(i).tolist()) == {
+                j for j in range(g.n) if (min(i, j), max(i, j)) in edges}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_degree_sum_is_twice_edge_count(self, seed):
@@ -194,6 +205,23 @@ class TestLoadAttributes:
     def test_non_finite_value_rejected(self, tmp_path, token, fmt, good, bad):
         path = _write(tmp_path, "a.txt", f"#{fmt} 2\n{good}\n{bad.format(token)}\n")
         with pytest.raises(ParseError, match=r"a\.txt:3: non-finite"):
+            load_attributes(path, self._graph())
+
+    @pytest.mark.parametrize("fmt,bad", [
+        pytest.param("sparse", "2 0:1_0", id="sparse-underscore-value"),
+        pytest.param("sparse", "2 1_0:1", id="sparse-underscore-index"),
+        pytest.param("sparse", "2 0:\u0661", id="sparse-arabic-indic-value"),
+        pytest.param("dense", "2 1_0 1", id="dense-underscore-value"),
+        pytest.param("dense", "\u0662 1 1", id="dense-arabic-indic-id"),
+    ])
+    def test_numbers_must_be_plain_ascii(self, tmp_path, fmt, bad):
+        path = _write(tmp_path, "a.txt", f"#{fmt} 2\n{bad}\n")
+        with pytest.raises(ParseError, match=r"a\.txt:2: numbers must be plain ASCII"):
+            load_attributes(path, self._graph())
+
+    def test_sparse_repeated_index(self, tmp_path):
+        path = _write(tmp_path, "a.txt", "#sparse 2\n0 1:1 1:5\n")
+        with pytest.raises(ParseError, match=r"a\.txt:2: attribute index 1 repeated"):
             load_attributes(path, self._graph())
 
     def test_negative_values_warn(self, tmp_path, caplog):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from linkpred import (AttributedGraph, ConfigError, assortativity, avg_degree,
-                      clustering_coefficient, components, cosine_similarity,
-                      efficiency, format_stats, generate_planted_attribute_graph,
-                      stats_report)
+                      clustering_coefficient, components, efficiency, format_stats,
+                      generate_planted_attribute_graph, stats_report)
 from _helpers import adjacency_sets, make_gnp
 from _oracles import (oracle_assortativity, oracle_clustering, oracle_components,
-                      oracle_efficiency)
+                      oracle_cosine, oracle_efficiency)
 
 
 def triangle():
@@ -77,16 +76,10 @@ class TestClustering:
         expected = oracle_clustering(adjacency_sets(g))
         assert clustering_coefficient(g) == pytest.approx(expected, abs=1e-12)
 
-    def test_exclude_mode(self):
-        # star plus one triangle edge: leaves drop out of the mean
+    def test_low_degree_nodes_count_as_zero(self):
+        # star plus one triangle edge: local values 1/3, 1, 1 and 0 for the leaf
         g = AttributedGraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        zero_mode = clustering_coefficient(g, low_degree="zero")
-        exclude_mode = clustering_coefficient(g, low_degree="exclude")
-        assert exclude_mode > zero_mode
-
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            clustering_coefficient(triangle(), low_degree="drop")
+        assert clustering_coefficient(g) == pytest.approx(7 / 12, abs=1e-15)
 
 
 class TestAssortativity:
@@ -182,7 +175,7 @@ class TestGenerator:
         attrs = g.attributes
         for i in range(0, 40, 7):
             for j in range(0, 40, 5):
-                sim = cosine_similarity(attrs[i], attrs[j])
+                sim = oracle_cosine(attrs[i].tolist(), attrs[j].tolist())
                 if np.argmax(attrs[i]) == np.argmax(attrs[j]):
                     assert sim == pytest.approx(1.0, abs=1e-12)
                 else:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from linkpred import (AttributedGraph, ConfigError, PropagationConfig, ScoreMatrix,
-                      matrix_form_step, randwalk_init, randwalk_solve, randwalk_step,
-                      similarity_matrix, simrank_classic, transmission_weights)
+                      matrix_form_step, randwalk_init, randwalk_solve, similarity_matrix,
+                      simrank_classic, transmission_weights)
 from _helpers import adjacency_sets, make_gnp
 from _oracles import (oracle_dense_sweep, oracle_randwalk_step, oracle_sim_matrix, oracle_simrank,
                       oracle_simrank_step)
@@ -26,6 +26,12 @@ def _sparse_graph(n: int, seed: int) -> AttributedGraph:
     attrs = rng.random((n, 4))
     attrs[::97] = 0.0
     return AttributedGraph.build(n, np.column_stack([ii[keep], jj[keep]]), attributes=attrs)
+
+
+def _direct_step(prev: np.ndarray, graph: AttributedGraph, c: float) -> np.ndarray:
+    # the per-pair double sum, with cosines computed by the oracle itself
+    return oracle_randwalk_step(prev.tolist(), adjacency_sets(graph),
+                                oracle_sim_matrix(graph.attributes.tolist()), c)
 
 
 def _symmetric_scores(n: int, seed: int) -> np.ndarray:
@@ -119,42 +125,36 @@ class TestRandwalkInit:
 
 
 class TestRandwalkStep:
+    """One sweep of the weighted recursion, through ``matrix_form_step``."""
+
     def test_uniform_attributes_reduce_to_unweighted_step(self):
         g = make_gnp(12, 0.3, 5, attrs="uniform")
         _, weights = _weighted_setup(g)
-        rng = np.random.default_rng(0)
-        prev = rng.random((12, 12))
-        prev = (prev + prev.T) / 2
-        np.fill_diagonal(prev, 1.0)
-        stepped = randwalk_step(ScoreMatrix(values=prev), g, weights, 0.8)
+        prev = _symmetric_scores(12, seed=0)
+        stepped = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
         expected = oracle_simrank_step(prev.tolist(), adjacency_sets(g), 0.8)
         assert np.abs(stepped.values - np.array(expected)).max() < 1e-12
 
     def test_isolated_endpoint_scores_zero(self):
         g = AttributedGraph.build(3, [(0, 1)], attributes=np.ones((3, 1)))
         _, weights = _weighted_setup(g)
-        stepped = randwalk_step(ScoreMatrix(values=np.eye(3)), g, weights, 0.8)
+        stepped = matrix_form_step(ScoreMatrix(values=np.eye(3)), g, weights, 0.8)
         assert stepped.values[0, 2] == 0.0
         assert stepped.values[1, 2] == 0.0
 
     def test_diagonal_pinned(self):
         g = make_gnp(10, 0.3, 6, attrs="random")
         _, weights = _weighted_setup(g)
-        stepped = randwalk_step(ScoreMatrix(values=np.eye(10)), g, weights, 0.8)
+        stepped = matrix_form_step(ScoreMatrix(values=np.eye(10)), g, weights, 0.8)
         assert (np.diag(stepped.values) == 1.0).all()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_pure_python_oracle(self, seed):
         g = make_gnp(12, 0.3, seed, attrs="random")
         _, weights = _weighted_setup(g)
-        rng = np.random.default_rng(seed + 100)
-        prev = rng.random((12, 12))
-        prev = (prev + prev.T) / 2
-        np.fill_diagonal(prev, 1.0)
-        stepped = randwalk_step(ScoreMatrix(values=prev), g, weights, 0.8)
-        expected = oracle_randwalk_step(prev.tolist(), adjacency_sets(g),
-                                        oracle_sim_matrix(g.attributes.tolist()), 0.8)
-        assert np.abs(stepped.values - expected).max() < 1e-10
+        prev = _symmetric_scores(12, seed=seed + 100)
+        stepped = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
+        assert np.abs(stepped.values - _direct_step(prev, g, 0.8)).max() < 1e-10
 
 
 class TestMatrixFormStep:
@@ -167,9 +167,8 @@ class TestMatrixFormStep:
         prev = rng.random((n, n))
         prev = (prev + prev.T) / 2
         np.fill_diagonal(prev, 1.0)
-        direct = randwalk_step(ScoreMatrix(values=prev), g, weights, 0.8)
         fast = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
-        assert np.abs(direct.values - fast.values).max() < 1e-10
+        assert np.abs(_direct_step(prev, g, 0.8) - fast.values).max() < 1e-10
 
     def test_subnormal_weight_matches_direct_step(self):
         # sim(0, 1) = 1e-310 makes D(0, 1) subnormal; c / D would overflow
@@ -177,10 +176,9 @@ class TestMatrixFormStep:
         g = AttributedGraph.build(3, [(0, 1)], attributes=attrs)
         _, weights = _weighted_setup(g)
         prev = _symmetric_scores(3, seed=0)
-        direct = randwalk_step(ScoreMatrix(values=prev), g, weights, 0.8)
         fast = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
         assert np.isfinite(fast.values).all()
-        assert np.abs(direct.values - fast.values).max() < 1e-12
+        assert np.abs(_direct_step(prev, g, 0.8) - fast.values).max() < 1e-12
 
     def test_edgeless_graph_keeps_identity(self):
         g = AttributedGraph.build(4, [], attributes=np.ones((4, 2)))

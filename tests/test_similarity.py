@@ -3,37 +3,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from linkpred import (AttributedGraph, ConfigError, SimilarityMatrix,
-                      cosine_similarity, similarity_matrix, transmission_weights)
-from _helpers import make_gnp
-from _oracles import oracle_sim_matrix
+from linkpred import (AttributedGraph, ConfigError, SimilarityMatrix, similarity_matrix,
+                      transmission_weights)
+from _helpers import adjacency_sets, make_gnp
+from _oracles import oracle_cosine, oracle_sim_matrix
+
+
+def _pair_cosine(u, v) -> float:
+    # the off-diagonal entry of the similarity matrix of two nodes
+    attrs = np.array([u, v], dtype=np.float64)
+    return similarity_matrix(AttributedGraph.build(2, [], attributes=attrs)).values[0, 1]
 
 
 class TestCosineSimilarity:
+    """Pairwise entries of ``similarity_matrix``."""
+
     def test_identical_vectors(self):
-        assert cosine_similarity((1, 0, 0), (1, 0, 0)) == 1.0
+        assert _pair_cosine((1, 0, 0), (1, 0, 0)) == 1.0
 
     def test_orthogonal_vectors(self):
-        assert cosine_similarity((1, 0), (0, 1)) == 0.0
+        assert _pair_cosine((1, 0), (0, 1)) == 0.0
 
     def test_half_overlap(self):
         # 1/sqrt(2), evaluated by hand
-        assert cosine_similarity((1, 1), (1, 0)) == pytest.approx(0.7071067811865475, abs=1e-15)
+        assert _pair_cosine((1, 1), (1, 0)) == pytest.approx(0.7071067811865475, abs=1e-15)
 
     def test_zero_vector_convention(self):
-        assert cosine_similarity((0, 0), (1, 0)) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            cosine_similarity((1, 0), (1, 0, 0))
+        # an all-zero vector has similarity 0 to everything, another zero
+        # vector and itself included (0, not the nan of 0/0)
+        values = similarity_matrix(AttributedGraph.build(
+            3, [], attributes=np.array([[0., 0.], [0., 0.], [1., 0.]]))).values
+        assert values.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_positive_scaling_invariance(self, seed):
         rng = np.random.default_rng(seed)
         u, v = rng.random(6), rng.random(6)
-        base = cosine_similarity(u, v)
+        base = _pair_cosine(u, v)
+        assert base == pytest.approx(oracle_cosine(u.tolist(), v.tolist()), abs=1e-12)
         for factor in (1e-3, 3.7, 250.0):
-            assert cosine_similarity(factor * u, v) == pytest.approx(base, abs=1e-12)
+            assert _pair_cosine(factor * u, v) == pytest.approx(base, abs=1e-12)
 
 
 class TestSimilarityMatrix:
@@ -86,17 +95,16 @@ class TestSimilarityMatrix:
         with pytest.raises(ConfigError, match="no attributes"):
             similarity_matrix(AttributedGraph.build(2, [(0, 1)]))
 
-    def test_unknown_kind(self):
-        g = AttributedGraph.build(2, [(0, 1)], attributes=np.ones((2, 1)))
-        with pytest.raises(ConfigError, match="unknown similarity kind"):
-            similarity_matrix(g, kind="euclidean")
+
+def _node_sums(weights) -> np.ndarray:
+    return np.asarray(weights.edge_prob.sum(axis=1)).ravel()
 
 
 class TestTransmissionWeights:
     def test_uniform_attributes_give_degree_sums(self):
         g = make_gnp(20, 0.2, 1, attrs="uniform")
         weights = transmission_weights(g, similarity_matrix(g))
-        assert np.array_equal(weights.node_sum, g.degrees.astype(float))
+        assert np.array_equal(_node_sums(weights), g.degrees.astype(float))
         assert (weights.edge_prob.data == 1.0).all()
 
     def test_node_sum_is_direct_sum(self):
@@ -107,24 +115,28 @@ class TestTransmissionWeights:
             [0.3, 0.0, 1.0],
         ]))
         weights = transmission_weights(g, sim)
-        assert weights.node_sum[0] == pytest.approx(0.5, abs=1e-15)
+        assert _node_sums(weights)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_isolated_node_sum_zero(self):
         g = AttributedGraph.build(3, [(0, 1)], attributes=np.ones((3, 2)))
         weights = transmission_weights(g, similarity_matrix(g))
-        assert weights.node_sum[2] == 0.0
+        assert _node_sums(weights)[2] == 0.0
 
     def test_negative_similarity_clamped(self):
         g = AttributedGraph.build(2, [(0, 1)],
                                   attributes=np.array([[1., 0.], [-1., 0.]]))
         weights = transmission_weights(g, similarity_matrix(g))
         assert (weights.edge_prob.data >= 0.0).all()
-        assert weights.node_sum[0] == 0.0
+        assert _node_sums(weights)[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_row_sum_consistency(self, seed):
+        # edge weights are the oracle cosines on the edge set, 0 elsewhere
         g = make_gnp(30, 0.15, seed, attrs="random")
         weights = transmission_weights(g, similarity_matrix(g))
         dense = weights.edge_prob.toarray()
         assert np.array_equal(dense, dense.T)
-        assert np.allclose(dense.sum(axis=1), weights.node_sum, atol=1e-12)
+        sim = oracle_sim_matrix(g.attributes.tolist())
+        adj = adjacency_sets(g)
+        sums = [sum(sim[i][j] for j in adj[i]) for i in range(g.n)]
+        assert np.allclose(_node_sums(weights), sums, atol=1e-12)
