@@ -5,13 +5,15 @@ File formats
 Edge list: one undirected edge per line as two whitespace-separated node
 ids; ``#`` starts a comment line. The optional directive ``#nodes N`` pins
 the node count so that graphs with trailing isolated nodes survive a
-save/load round trip; without it, n = 1 + max node id.
+save/load round trip; without it, n = 1 + max node id. A comment whose
+first word is ``nodes`` followed by one other word that is not an ASCII
+count is an error.
 
 Attributes: a header line ``#dense m`` or ``#sparse m`` declares the
-attribute count, then one node per line. Dense lines hold ``node_id``
-followed by m values; sparse lines hold ``node_id idx:value ...`` with
-each index at most once. Nodes absent from the file get the all-zero
-vector.
+attribute count, then one node per line; a second header is an error.
+Dense lines hold ``node_id`` followed by m values; sparse lines hold
+``node_id idx:value ...`` with each index at most once. Nodes absent from
+the file get the all-zero vector.
 
 Data lines are plain ASCII: ids and indices are ASCII decimal integers,
 and ``_`` digit separators are rejected.
@@ -31,7 +33,7 @@ from .errors import ConfigError, ParseError
 
 logger = logging.getLogger(__name__)
 
-_NODES_DIRECTIVE = re.compile(r"#\s*nodes\s+(\d+)\s*$", re.ASCII)
+_NODES_DIRECTIVE = re.compile(r"#\s*nodes\s+(\S+)\s*$", re.ASCII)
 _ATTR_HEADER = re.compile(r"#\s*(dense|sparse)\s+(\d+)\s*$", re.ASCII)
 
 
@@ -173,7 +175,10 @@ def load_edge_list(path, indexing: str = "zero") -> AttributedGraph:
             if line.startswith("#"):
                 m = _NODES_DIRECTIVE.match(line)
                 if m:
-                    declared_n = max(declared_n, int(m.group(1)))
+                    count = m.group(1)
+                    if not (count.isascii() and count.isdigit()):
+                        raise ParseError(f"{path}:{lineno}: invalid node count {count!r}")
+                    declared_n = max(declared_n, int(count))
                 continue
             _check_ascii_numbers(line, path, lineno)
             tokens = line.split()
@@ -222,7 +227,10 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
                 continue
             if line.startswith("#"):
                 m = _ATTR_HEADER.match(line)
-                if m and fmt is None:
+                if m and fmt is not None:
+                    raise ParseError(f"{path}:{lineno}: second attribute header {line!r}, "
+                                     f"after '#{fmt} {attr_dim}'")
+                if m:
                     fmt = m.group(1)
                     attr_dim = int(m.group(2))
                     values = np.zeros((graph.n, attr_dim))

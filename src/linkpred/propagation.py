@@ -23,9 +23,14 @@ products, W S and A (W S)^T, then one fused pass over square tiles of the
 upper triangle that adds each tile of the second product to the transpose
 of its mirror tile, divides by the precomputed D/c, writes the tile and
 its transpose, and takes the sup-norm change. Iterates are therefore symmetric
-by construction, with no mirror pass. A solve holds four dense n x n
-arrays (two swapped iterates, D/c, and the transposed operand of the
-second product) plus the two sparse-product outputs of the sweep.
+by construction, with no mirror pass.
+
+Sweeps run only over the n' nodes that have an edge. An isolated node's
+pairs have D = 0 and it is in no neighborhood, so they score 0 without
+being swept, and the result is scattered into an n x n identity. A solve
+holds four dense n' x n' arrays (two swapped iterates, D/c, and the
+transposed operand of the second product) plus the two sparse-product
+outputs of the sweep.
 """
 
 from __future__ import annotations
@@ -146,22 +151,52 @@ class _TiledSweep:
         return float(np.max(tile_deltas, initial=0.0))
 
 
-def _fixed_point(sweep: _TiledSweep, scores: np.ndarray, cfg: PropagationConfig,
-                 label: str) -> ScoreMatrix:
-    # Jacobi iteration over two swapped buffers; ``scores`` is overwritten.
+def _solve(graph: AttributedGraph, edge_prob, start: ScoreMatrix, cfg: PropagationConfig,
+           label: str) -> ScoreMatrix:
+    """Jacobi iteration from ``start.values`` over the nodes that have an edge.
+
+    An isolated node x has deg(x) = 0 and W(x) = 0, so D(x, .) = 0: sweep 1
+    sets x's off-diagonal pairs to 0 and, x being in no neighborhood, no
+    later sweep reads them. So the sweeps run on the subgraph induced by the
+    other nodes. Its relabelling is monotone, so each kept entry sums the
+    same terms in the same order as on the full graph, and values, deltas
+    and sweep count are bitwise those of the full solve.
+
+    ``start.values`` is replaced by its block of nodes with an edge, which
+    frees the n x n start before the sweep allocates its buffers, as long as
+    the caller holds no other reference to that array.
+    """
+    n = graph.n
+    active = np.flatnonzero(graph.degrees)
+    isolated = np.flatnonzero(graph.degrees == 0)
+    logger.info("%s: sweeping %d of %d nodes (%d isolated)", label, active.size, n, isolated.size)
+    # Sweep 1's change on the dropped pairs: the off-diagonal start entries
+    # in isolated rows (0 for the identity start).
+    rows = np.abs(start.values[isolated])
+    rows[np.arange(isolated.size), isolated] = 0.0
+    dropped = float(rows.max(initial=0.0))
+    del rows  # isolated x n; about 4 MB at paper scale
+    scores = start.values = start.values[np.ix_(active, active)]
+    sweep = _TiledSweep(graph.adjacency_matrix()[active][:, active],
+                        edge_prob[active][:, active], cfg.c)
+    # Jacobi iteration over two swapped buffers.
     nxt = np.empty_like(scores)
     deltas: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        delta = sweep(scores, nxt)
+        delta = max(sweep(scores, nxt), dropped)
+        dropped = 0.0
         deltas.append(delta)
         scores, nxt = nxt, scores
         logger.debug("%s sweep %d: delta=%.3e", label, iterations, delta)
         if delta < cfg.tolerance:
             converged = True
             break
-    return ScoreMatrix(values=scores, iterations=iterations, converged=converged,
+    del sweep  # its two n' x n' buffers go before the n x n result is allocated
+    values = np.eye(n)
+    values[np.ix_(active, active)] = scores
+    return ScoreMatrix(values=values, iterations=iterations, converged=converged,
                        final_delta=deltas[-1] if deltas else 0.0, deltas=deltas)
 
 
@@ -176,9 +211,8 @@ def simrank_classic(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatr
     """
     if graph.n == 0:
         raise ValueError("graph must have at least one node")
-    adjacency = graph.adjacency_matrix()
-    sweep = _TiledSweep(adjacency, adjacency, cfg.c)
-    return _fixed_point(sweep, np.eye(graph.n), cfg, "simrank")
+    return _solve(graph, graph.adjacency_matrix(), ScoreMatrix(values=np.eye(graph.n)), cfg,
+                  "simrank")
 
 
 def randwalk_init(graph: AttributedGraph, sim: SimilarityMatrix, mode: str) -> ScoreMatrix:
@@ -216,8 +250,7 @@ def randwalk_solve(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatri
     if graph.n == 0:
         raise ValueError("graph must have at least one node")
     sim = similarity_matrix(graph)
-    weights = transmission_weights(graph, sim)
-    scores = randwalk_init(graph, sim, cfg.init_mode).values
+    edge_prob = transmission_weights(graph, sim).edge_prob
+    start = randwalk_init(graph, sim, cfg.init_mode)
     del sim  # one n x n array fewer while the solver's buffers are live
-    sweep = _TiledSweep(graph.adjacency_matrix(), weights.edge_prob, cfg.c)
-    return _fixed_point(sweep, scores, cfg, "randwalk")
+    return _solve(graph, edge_prob, start, cfg, "randwalk")

@@ -92,6 +92,24 @@ def oracle_dense_sweep(scores: np.ndarray, adjacency: np.ndarray, prob: np.ndarr
     return out
 
 
+def oracle_full_solve(step, start: np.ndarray, tolerance: float, max_iterations: int):
+    """Jacobi iteration of ``step`` on the full n x n matrix, every pair swept.
+
+    ``step`` maps one iterate to the next. Sweep k's delta is the sup-norm
+    of its change, and the loop stops after the first sweep whose delta is
+    below ``tolerance``. Returns (values, deltas, iterations, converged).
+    """
+    current = start
+    deltas = []
+    for _ in range(max_iterations):
+        nxt = step(current)
+        deltas.append(float(np.abs(nxt - current).max(initial=0.0)))
+        current = nxt
+        if deltas[-1] < tolerance:
+            return current, deltas, len(deltas), True
+    return current, deltas, len(deltas), False
+
+
 def oracle_local_score(kind: str, adj: list, x: int, y: int) -> float:
     kx, ky = len(adj[x]), len(adj[y])
     z = len(adj[x] & adj[y])

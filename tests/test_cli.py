@@ -249,6 +249,22 @@ class TestStats:
         edges.write_text("#nodes 1\n")
         assert main(["stats", "--edges", str(edges)]) == 2
 
+    @pytest.mark.parametrize("edges_text,attrs_text,bad", [
+        pytest.param("#nodes 1_0\n0 1\n", None, "e.txt:1:", id="nodes-count"),
+        pytest.param("0 1\n", "#dense 2\n#sparse 3\n0 1 1\n", "a.txt:2:", id="second-header"),
+    ])
+    def test_malformed_directive_is_data_error(self, tmp_path, capsys, edges_text, attrs_text,
+                                               bad):
+        edges = tmp_path / "e.txt"
+        edges.write_text(edges_text)
+        argv = ["stats", "--edges", str(edges)]
+        if attrs_text is not None:
+            attrs = tmp_path / "a.txt"
+            attrs.write_text(attrs_text)
+            argv += ["--attrs", str(attrs)]
+        assert main(argv) == 2
+        assert bad in capsys.readouterr().err
+
     def test_id_map_written(self, tmp_path):
         edges = tmp_path / "e.txt"
         edges.write_text("1 2\n2 3\n")

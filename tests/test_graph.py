@@ -56,8 +56,20 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match=r"e\.txt:2: numbers must be plain ASCII"):
             load_edge_list(path)
 
-    def test_non_ascii_nodes_directive_is_a_comment(self, tmp_path):
-        g = load_edge_list(_write(tmp_path, "e.txt", "#nodes \u0661\u0660\n0 1\n"))
+    @pytest.mark.parametrize("count", [
+        pytest.param("1_0", id="underscore"),
+        pytest.param("x", id="word"),
+        pytest.param("-3", id="negative"),
+        pytest.param("\u0661\u0660", id="arabic-indic-digits"),
+    ])
+    def test_malformed_nodes_directive(self, tmp_path, count):
+        path = _write(tmp_path, "e.txt", f"# graph\n#nodes {count}\n0 1\n")
+        with pytest.raises(ParseError, match=r"e\.txt:2: invalid node count"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("comment", ["#nodes", "# nodes are authors", "#nodesx 7"])
+    def test_other_nodes_comments_skipped(self, tmp_path, comment):
+        g = load_edge_list(_write(tmp_path, "e.txt", f"{comment}\n0 1\n"))
         assert g.n == 2
 
     def test_negative_id(self, tmp_path):
@@ -190,6 +202,12 @@ class TestLoadAttributes:
     def test_missing_header(self, tmp_path):
         path = _write(tmp_path, "a.txt", "0 1 0\n")
         with pytest.raises(ParseError, match="header"):
+            load_attributes(path, self._graph())
+
+    @pytest.mark.parametrize("second", ["#sparse 3", "#dense 2", "# dense 4"])
+    def test_second_header(self, tmp_path, second):
+        path = _write(tmp_path, "a.txt", f"#dense 2\n{second}\n0 1 1\n")
+        with pytest.raises(ParseError, match=r"a\.txt:2: second attribute header"):
             load_attributes(path, self._graph())
 
     def test_dense_wrong_arity(self, tmp_path):

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
 from linkpred import (AttributedGraph, ConfigError, PropagationConfig, ScoreMatrix,
-                      matrix_form_step, randwalk_init, randwalk_solve, similarity_matrix,
-                      simrank_classic, transmission_weights)
+                      TransmissionWeights, matrix_form_step, randwalk_init, randwalk_solve,
+                      similarity_matrix, simrank_classic, transmission_weights)
 from _helpers import adjacency_sets, make_gnp
-from _oracles import (oracle_dense_sweep, oracle_randwalk_step, oracle_sim_matrix, oracle_simrank,
-                      oracle_simrank_step)
+from _oracles import (oracle_dense_sweep, oracle_full_solve, oracle_randwalk_step,
+                      oracle_sim_matrix, oracle_simrank, oracle_simrank_step)
 
 
 def _weighted_setup(graph):
@@ -231,6 +233,79 @@ class TestMultiTileSweep:
         assert scores.iterations == cfg.max_iterations
         assert np.abs(scores.values - current).max() < 1e-12
         assert np.array_equal(scores.values, scores.values.T)
+
+
+def _isolated_node_graph(kind: str) -> AttributedGraph:
+    if kind == "multi-tile":
+        return _sparse_graph(600, seed=600)
+    rng = np.random.default_rng(3)
+    if kind == "edgeless":
+        attrs = rng.random((6, 3))
+        attrs[2] = 0.0
+        return AttributedGraph.build(6, [], attributes=attrs)
+    # a 4-cycle plus node 4, isolated, with node 0's attributes: start[4, 0] = 1
+    attrs = rng.random((5, 3))
+    attrs[4] = attrs[0]
+    return AttributedGraph.build(5, [(0, 1), (1, 2), (2, 3), (0, 3)], attributes=attrs)
+
+
+class TestSweepsOnlyNodesWithEdges:
+    """The solvers sweep the nodes that have an edge; the result is a full-graph solve's."""
+
+    @pytest.mark.parametrize("kind,max_iterations", [
+        ("multi-tile", 100), ("edgeless", 100), ("one-isolated", 1)])
+    @pytest.mark.parametrize("solver", ["randwalk-identity", "randwalk-attrsim", "simrank"])
+    def test_equals_full_solve_bitwise(self, kind, max_iterations, solver):
+        g = _isolated_node_graph(kind)
+        if solver == "simrank":
+            cfg = PropagationConfig(max_iterations=max_iterations)
+            fast = simrank_classic(g, cfg)
+            weights = TransmissionWeights(edge_prob=g.adjacency_matrix())
+            start = np.eye(g.n)
+        else:
+            cfg = PropagationConfig(max_iterations=max_iterations,
+                                    init_mode=solver.removeprefix("randwalk-"))
+            fast = randwalk_solve(g, cfg)
+            sim, weights = _weighted_setup(g)
+            start = randwalk_init(g, sim, cfg.init_mode).values
+        values, deltas, iterations, converged = oracle_full_solve(
+            lambda s: matrix_form_step(ScoreMatrix(values=s), g, weights, cfg.c).values,
+            start, cfg.tolerance, cfg.max_iterations)
+        assert np.array_equal(fast.values, values)
+        assert fast.deltas == deltas
+        assert (fast.iterations, fast.converged, fast.final_delta) == (
+            iterations, converged, deltas[-1])
+        isolated = g.degrees == 0
+        assert isolated.any()
+        off_diagonal = ~np.eye(g.n, dtype=bool)
+        assert (fast.values[isolated][off_diagonal[isolated]] == 0.0).all()
+
+    def test_edgeless_graph_first_delta_is_largest_start_entry(self):
+        g = _isolated_node_graph("edgeless")
+        start = randwalk_init(g, similarity_matrix(g), "attrsim").values
+        scores = randwalk_solve(g, PropagationConfig())
+        assert np.array_equal(scores.values, np.eye(g.n))
+        assert scores.deltas == [start[~np.eye(g.n, dtype=bool)].max(), 0.0]
+
+    def test_isolated_start_entry_sets_first_delta(self):
+        # the only change larger than the swept pairs' is start[4, 0] going to 0
+        g = _isolated_node_graph("one-isolated")
+        sim, weights = _weighted_setup(g)
+        start = randwalk_init(g, sim, "attrsim").values
+        swept = matrix_form_step(ScoreMatrix(values=start), g, weights, 0.8).values
+        kept = np.abs(swept - start)[:4, :4].max()
+        scores = randwalk_solve(g, PropagationConfig(max_iterations=1))
+        assert kept < start[4, 0] == scores.deltas[0]
+        assert scores.iterations == 1
+        assert not scores.converged
+
+    def test_logs_swept_node_count(self, caplog):
+        g = AttributedGraph.build(5, [(0, 1), (1, 2)], attributes=np.ones((5, 2)))
+        with caplog.at_level(logging.INFO, logger="linkpred"):
+            randwalk_solve(g, PropagationConfig())
+            simrank_classic(g, PropagationConfig())
+        assert "randwalk: sweeping 3 of 5 nodes (2 isolated)" in caplog.messages
+        assert "simrank: sweeping 3 of 5 nodes (2 isolated)" in caplog.messages
 
 
 class TestRandwalkSolve:
