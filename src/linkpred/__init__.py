@@ -18,9 +18,8 @@ from .netstats import (NetStatsRow, assortativity, avg_degree, clustering_coeffi
                        components, efficiency, format_stats,
                        generate_planted_attribute_graph, stats_report)
 from .propagation import (INIT_MODES, PropagationConfig, ScoreMatrix, matrix_form_step,
-                          randwalk_init, randwalk_solve, simrank_classic)
-from .similarity import (SimilarityMatrix, TransmissionWeights, similarity_matrix,
-                         transmission_weights)
+                          randwalk_init, randwalk_solve, similarity_matrix, simrank_classic,
+                          transmission_weights)
 
 __version__ = "0.1.0"
 
@@ -28,8 +27,8 @@ __all__ = [
     "AttributedGraph", "AucResult", "BaselineConfig", "ConfigError", "DataError",
     "EvalReport", "EvaluationError", "ExperimentConfig", "INIT_MODES",
     "LOCAL_INDEX_KINDS", "LinkpredError", "METHOD_NAMES", "MethodResult", "NetStatsRow",
-    "ParseError", "ProbeSplit", "PropagationConfig", "ScoreMatrix", "SimilarityMatrix",
-    "TIE_TOLERANCE", "TransmissionWeights", "assortativity", "auc_exact", "auc_sampled",
+    "ParseError", "ProbeSplit", "PropagationConfig", "ScoreMatrix",
+    "TIE_TOLERANCE", "assortativity", "auc_exact", "auc_sampled",
     "avg_degree", "canonical_method", "clustering_coefficient", "components",
     "efficiency", "format_report", "format_stats", "generate_planted_attribute_graph",
     "katz_index", "load_attributes", "load_edge_list", "local_index", "lp_index",

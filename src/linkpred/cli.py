@@ -26,8 +26,7 @@ from .evaluation import (METHOD_NAMES, ExperimentConfig, canonical_method,
 from .graph import (load_attributes, load_edge_list, nonedge_mask, save_attributes,
                     save_edge_list, write_id_map)
 from .netstats import format_stats, generate_planted_attribute_graph, stats_report
-from .propagation import INIT_MODES, PropagationConfig
-from .similarity import similarity_matrix
+from .propagation import INIT_MODES, PropagationConfig, similarity_matrix
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -229,8 +228,7 @@ def cmd_predict(opts: dict) -> int:
     scores = score_method(method, graph, cfg)
     _write_id_map(opts, graph)
     if opts.get("dump_sim"):
-        sim = similarity_matrix(graph)
-        np.savetxt(opts["dump_sim"], sim.values, delimiter=",", fmt="%.12g")
+        np.savetxt(opts["dump_sim"], similarity_matrix(graph), delimiter=",", fmt="%.12g")
     if opts.get("dump_scores"):
         np.savetxt(opts["dump_scores"], scores.values, delimiter=",", fmt="%.12g")
     ii, jj, ss = _ranked_nonedges(graph, scores.values, opts["top_k"])
@@ -254,8 +252,11 @@ def cmd_evaluate(opts: dict) -> int:
         raise ConfigError(f"--reps must be >= 1, got {opts['reps']}")
     methods = [canonical_method(name) for name in _method_list(opts["method"])]
     cfg = _experiment_config(opts)
+    dataset = opts["dataset"] or Path(_require_file(opts.get("edges"), "--edges")).stem
+    if any(char in dataset for char in ',"\r\n'):
+        raise ConfigError(f"dataset label {dataset!r} has a comma, double quote, CR or LF, "
+                          "which the report's CSV records cannot hold; set --dataset")
     graph = _load_graph(opts)
-    dataset = opts["dataset"] or Path(opts["edges"]).stem
     report = run_experiment(graph, methods, cfg, repetitions=opts["reps"], dataset=dataset)
     _write_id_map(opts, graph)
     text = format_report(report, timing=opts["timing"])

@@ -1,4 +1,8 @@
-"""Fixed-point similarity-propagation solvers.
+"""Attribute similarity, transmission weights and the fixed-point solvers.
+
+The weighted method's stages pass plain arrays: the n x n cosine similarity
+of the attribute vectors, the sparse per-edge transmission probabilities
+taken from it, and the scores propagated along them to a fixed point.
 
 Two solvers share one sweep and one Jacobi loop: the attribute-weighted
 recursion, in which each edge transmits score in proportion to the
@@ -39,10 +43,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError
 from .graph import AttributedGraph
-from .similarity import SimilarityMatrix, TransmissionWeights, similarity_matrix, transmission_weights
 
 logger = logging.getLogger(__name__)
 
@@ -79,18 +83,62 @@ class ScoreMatrix:
 
     Solver outputs guarantee a unit diagonal, entries in [0, 1], and exact
     (bitwise) symmetry. ``deltas`` records the sup-norm change of every
-    sweep; ``final_delta`` is its last entry.
+    sweep; ``iterations`` and ``final_delta`` are read from it.
     """
 
     values: np.ndarray
-    iterations: int = 0
     converged: bool = True
-    final_delta: float = 0.0
     deltas: list = field(default_factory=list)
 
     @property
-    def n(self) -> int:
-        return self.values.shape[0]
+    def iterations(self) -> int:
+        return len(self.deltas)
+
+    @property
+    def final_delta(self) -> float:
+        """The last sweep's sup-norm change, 0.0 when there were no sweeps."""
+        return self.deltas[-1] if self.deltas else 0.0
+
+
+def similarity_matrix(graph: AttributedGraph) -> np.ndarray:
+    """All-pairs cosine similarity of the nodes' attribute vectors, n x n.
+
+    Computed as X X^T from the row-normalized attribute vectors X. numpy
+    forms that product with a symmetric rank-k update, which computes one
+    triangle and copies it, so the result is bitwise symmetric without a
+    mirror step. Entries lie in [0, 1] for non-negative attributes. The
+    diagonal is exactly 1 for nodes with a nonzero attribute vector; an
+    all-zero row is 0 everywhere (no evidence of affinity).
+    """
+    if graph.attr_dim == 0:
+        raise ConfigError("graph has no attributes loaded")
+    # An exact power-of-two scaling puts each row's largest |entry| in [0.5, 1),
+    # so the squared norm can neither overflow (1e300) nor underflow (1e-200).
+    _, exponent = np.frexp(np.abs(graph.attributes).max(axis=1))
+    scaled = np.ldexp(graph.attributes, -exponent[:, None])
+    norms = np.linalg.norm(scaled, axis=1)
+    nonzero = norms > 0
+    normalized = np.divide(scaled, norms[:, None], out=np.zeros_like(scaled),
+                           where=nonzero[:, None])
+    values = np.clip(normalized @ normalized.T, -1.0, 1.0)
+    values[np.diag_indices(graph.n)] = nonzero.astype(np.float64)
+    return values
+
+
+def transmission_weights(graph: AttributedGraph, sim: np.ndarray) -> sp.csr_matrix:
+    """Per-edge transmission probabilities from attribute similarities.
+
+    A sparse symmetric n x n matrix holding the similarity of each edge's
+    endpoints, zero off the edge set. Negative similarities (possible only
+    with negative attribute inputs) are clamped to 0 before use as
+    probabilities.
+    """
+    if sim.shape[0] != graph.n:
+        raise ValueError("similarity matrix does not match graph size")
+    row_ids = np.repeat(np.arange(graph.n), graph.degrees)
+    data = np.maximum(sim[row_ids, graph.indices], 0.0)
+    return sp.csr_matrix((data, graph.indices.copy(), graph.indptr.copy()),
+                         shape=(graph.n, graph.n))
 
 
 class _TiledSweep:
@@ -183,21 +231,17 @@ def _solve(graph: AttributedGraph, edge_prob, start: ScoreMatrix, cfg: Propagati
     nxt = np.empty_like(scores)
     deltas: list[float] = []
     converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
+    while not converged and len(deltas) < cfg.max_iterations:
         delta = max(sweep(scores, nxt), dropped)
         dropped = 0.0
         deltas.append(delta)
         scores, nxt = nxt, scores
-        logger.debug("%s sweep %d: delta=%.3e", label, iterations, delta)
-        if delta < cfg.tolerance:
-            converged = True
-            break
+        logger.debug("%s sweep %d: delta=%.3e", label, len(deltas), delta)
+        converged = delta < cfg.tolerance
     del sweep  # its two n' x n' buffers go before the n x n result is allocated
     values = np.eye(n)
     values[np.ix_(active, active)] = scores
-    return ScoreMatrix(values=values, iterations=iterations, converged=converged,
-                       final_delta=deltas[-1] if deltas else 0.0, deltas=deltas)
+    return ScoreMatrix(values=values, converged=converged, deltas=deltas)
 
 
 def simrank_classic(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatrix:
@@ -215,28 +259,29 @@ def simrank_classic(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatr
                   "simrank")
 
 
-def randwalk_init(graph: AttributedGraph, sim: SimilarityMatrix, mode: str) -> ScoreMatrix:
+def randwalk_init(graph: AttributedGraph, sim: np.ndarray, mode: str) -> ScoreMatrix:
     """Initial score matrix: identity, or attribute similarity with unit diagonal."""
     if mode not in INIT_MODES:
         raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {mode!r}")
     if mode == "identity":
         values = np.eye(graph.n)
     else:
-        values = np.maximum(sim.values, 0.0)
+        values = np.maximum(sim, 0.0)
         np.fill_diagonal(values, 1.0)
     return ScoreMatrix(values=values)
 
 
-def matrix_form_step(s_prev: ScoreMatrix, graph: AttributedGraph,
-                     weights: TransmissionWeights, c: float) -> ScoreMatrix:
+def matrix_form_step(scores: np.ndarray, graph: AttributedGraph, edge_prob: sp.csr_matrix,
+                     c: float) -> np.ndarray:
     """One sweep of the weighted recursion, computed as the solvers compute it.
 
-    Expects a symmetric ``s_prev``, as every solver iterate is.
+    ``edge_prob`` holds the per-edge weights (``transmission_weights``, or
+    the adjacency matrix for the unweighted recursion). Expects a symmetric
+    ``scores``, as every solver iterate is.
     """
-    sweep = _TiledSweep(graph.adjacency_matrix(), weights.edge_prob, c)
-    values = np.empty(s_prev.values.shape)
-    sweep(s_prev.values, values)
-    return ScoreMatrix(values=values)
+    out = np.empty(scores.shape)
+    _TiledSweep(graph.adjacency_matrix(), edge_prob, c)(scores, out)
+    return out
 
 
 def randwalk_solve(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatrix:
@@ -250,7 +295,7 @@ def randwalk_solve(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatri
     if graph.n == 0:
         raise ValueError("graph must have at least one node")
     sim = similarity_matrix(graph)
-    edge_prob = transmission_weights(graph, sim).edge_prob
+    edge_prob = transmission_weights(graph, sim)
     start = randwalk_init(graph, sim, cfg.init_mode)
     del sim  # one n x n array fewer while the solver's buffers are live
     return _solve(graph, edge_prob, start, cfg, "randwalk")

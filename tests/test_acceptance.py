@@ -110,8 +110,8 @@ def test_a4_step_equivalence():
         # the oracle computes its own cosines, independent of transmission_weights
         sim = oracle_sim_matrix(graph.attributes.tolist())
         direct = oracle_randwalk_step(prev.tolist(), adjacency_sets(graph), sim, ATTENUATION)
-        fast = matrix_form_step(ScoreMatrix(values=prev), graph, weights, ATTENUATION)
-        worst = max(worst, float(np.abs(direct - fast.values).max()))
+        fast = matrix_form_step(prev, graph, weights, ATTENUATION)
+        worst = max(worst, float(np.abs(direct - fast).max()))
     assert worst < 1e-10
     print(f"\nA4 PASS: matrix-form sweep equals direct double-sum sweep, max gap {worst:.2e} over 50 instances")
 
@@ -246,9 +246,8 @@ def test_a10_performance_envelope():
     graph = generate_planted_attribute_graph(1500, 4, p_in=0.007, p_out=0.0004,
                                              attr_noise=0.1, seed=31)
     weights = transmission_weights(graph, similarity_matrix(graph))
-    state = ScoreMatrix(values=np.eye(graph.n))
     start = time.perf_counter()
-    matrix_form_step(state, graph, weights, ATTENUATION)
+    matrix_form_step(np.eye(graph.n), graph, weights, ATTENUATION)
     sweep_seconds = time.perf_counter() - start
     assert sweep_seconds < 10.0
 

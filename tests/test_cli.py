@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linkpred import (METHOD_NAMES, cli, load_attributes, load_edge_list, save_attributes,
-                      save_edge_list)
+from linkpred import (METHOD_NAMES, ExperimentConfig, cli, load_attributes, load_edge_list,
+                      save_attributes, save_edge_list)
 from linkpred.baselines import ALIASES
 from linkpred.cli import main
 from _helpers import graph_from_edges, make_gnp
@@ -180,6 +180,20 @@ class TestEvaluate:
         rc = main(["evaluate", "--edges", str(edges), "--method", "cn", "--reps", "1"])
         assert rc == 0
         assert "auc_mode: exact" in capsys.readouterr().out
+
+    def test_edges_stem_that_breaks_csv_is_config_error(self, triangle_minus_edge, tmp_path,
+                                                         capsys):
+        # the default label is the edges file's stem, here "a,b"
+        edges = tmp_path / "a,b.txt"
+        edges.write_bytes(triangle_minus_edge[0].read_bytes())
+        out = tmp_path / "report.txt"
+        argv = ["evaluate", "--edges", str(edges), "--method", "cn", "--reps", "1",
+                "--split", "0.5", "--out", str(out)]
+        assert main(argv) == 1
+        assert "dataset label 'a,b'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--dataset", "a b"]) == 0
+        assert out.read_text().splitlines()[-1].startswith("a b,cn,")
 
     def test_unknown_method(self, planted_files):
         edges, attrs = planted_files
@@ -395,6 +409,8 @@ class TestOptions:
         ["evaluate", "--method", "cn", "--seed", "-1", "--attrs", "@attrs.txt"],
         ["generate", "--seed", "-1", "--out-edges", "@g_edges.txt",
          "--out-attrs", "@g_attrs.txt"],
+        *[["evaluate", "--method", "cn", "--reps", "1", "--split", "0.5", "--out", "@r.txt",
+           "--dataset", label] for label in ("a,b\nx", "a,b", 'say "a"', "a\rb")],
     ])
     def test_bad_value_fails_before_any_file_is_written(self, triangle_minus_edge, tmp_path,
                                                          argv):
@@ -403,6 +419,9 @@ class TestOptions:
         argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
         assert main(argv) == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == ["attrs.txt", "edges.txt"]
+
+    def test_defaults_match_the_library(self):
+        assert cli._experiment_config(cli.DEFAULTS) == ExperimentConfig()
 
     def test_readme_methods_table_names_exactly_the_methods(self):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from linkpred import (AttributedGraph, ParseError, load_attributes, load_edge_list,
-                      save_attributes, save_edge_list, write_id_map)
+from linkpred import (AttributedGraph, ConfigError, ParseError, load_attributes,
+                      load_edge_list, save_attributes, save_edge_list, write_id_map)
 from _helpers import make_gnp
 
 
@@ -268,3 +270,75 @@ def test_id_map(tmp_path):
     assert path.read_text().splitlines() == [
         "original_id,dense_index", "1,0", "2,1", "3,2",
     ]
+
+
+# Inserted ids stay at or below 10**6: a larger one makes AttributedGraph.build
+# allocate O(n) arrays, which no loader check bounds. Tokens go into data lines
+# or become lines of their own, so every header is an original, a copy,
+# "#dense 3", "#sparse 2" or a prefix of one: none declares an n x m array with
+# m above 3, which the loader would allocate just as unchecked.
+_BAD_TOKENS = ("x", "-1", "1.5", "1e3", "1e400", "nan", "inf", "-inf", "+4", "0x1f", "1_0",
+               "\u0661", "\uff11", "\u00e9", "\x00", ":", "3:", ":0.5", "2:2:2", "1:nan",
+               "99:1", "#", "#nodes x", "#nodes 1000000", "#dense 3", "#sparse 2", "999999",
+               "1000000")
+
+
+def _mutate(text: str, rng) -> str:
+    """Truncate, insert or replace tokens, add lines or duplicate the header."""
+    lines = text.splitlines()
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(5))
+        token = _BAD_TOKENS[int(rng.integers(len(_BAD_TOKENS)))]
+        data = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+        if kind == 0:
+            joined = "\n".join(lines)
+            lines = joined[:int(rng.integers(len(joined) + 1))].split("\n")
+        elif kind in (1, 2) and data:
+            row = data[int(rng.integers(len(data)))]
+            tokens = lines[row].split()
+            at = int(rng.integers(len(tokens) + (kind == 1)))
+            tokens[at:at + (kind == 2)] = [token]
+            lines[row] = " ".join(tokens)
+        elif kind == 3 or not data:
+            lines.insert(int(rng.integers(len(lines) + 1)), token)
+        else:
+            header = next((line for line in lines if line.startswith("#")), "#nodes 3")
+            lines.insert(int(rng.integers(len(lines) + 1)), header)
+    return "\n".join(lines) + "\n"
+
+
+class TestLoaderFuzz:
+    """Seeded mutants of valid files either load or fail with a located error."""
+
+    @pytest.mark.parametrize("fmt", ["edges", "dense", "sparse"])
+    def test_mutants_load_or_name_path_and_line(self, tmp_path, fmt):
+        graph = make_gnp(30, 0.15, 4, attrs="random", attr_dim=3)
+        source = tmp_path / "source.txt"
+        if fmt == "edges":
+            save_edge_list(graph, source)
+        elif fmt == "dense":
+            save_attributes(graph, source)
+        else:
+            rows = [f"{v} " + " ".join(f"{k}:{x:.6g}" for k, x in enumerate(row) if x > 0.5)
+                    for v, row in enumerate(graph.attributes)]
+            source.write_text("#sparse 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        path = tmp_path / "mutant.txt"
+        # a line-level error names path:line; a whole-file one (no header) the path
+        located = re.compile(re.escape(str(path)) + r":(\d+:)? ")
+        rng = np.random.default_rng(["edges", "dense", "sparse"].index(fmt))
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(300):
+            path.write_text(_mutate(source.read_text(encoding="utf-8"), rng), encoding="utf-8")
+            indexing = "one" if rng.random() < 0.25 else "zero"  # flips the id base
+            try:
+                if fmt == "edges":
+                    load_edge_list(str(path), indexing=indexing)
+                else:
+                    load_attributes(str(path), graph, indexing=indexing)
+                outcomes["loaded"] += 1
+            except ParseError as exc:
+                assert located.match(str(exc)), str(exc)
+                outcomes["rejected"] += 1
+            except ConfigError:
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) >= 20, outcomes

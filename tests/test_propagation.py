@@ -5,9 +5,9 @@ import logging
 import numpy as np
 import pytest
 
-from linkpred import (AttributedGraph, ConfigError, PropagationConfig, ScoreMatrix,
-                      TransmissionWeights, matrix_form_step, randwalk_init, randwalk_solve,
-                      similarity_matrix, simrank_classic, transmission_weights)
+from linkpred import (AttributedGraph, ConfigError, PropagationConfig, matrix_form_step,
+                      randwalk_init, randwalk_solve, similarity_matrix, simrank_classic,
+                      transmission_weights)
 from _helpers import adjacency_sets, make_gnp
 from _oracles import (oracle_dense_sweep, oracle_full_solve, oracle_randwalk_step,
                       oracle_sim_matrix, oracle_simrank, oracle_simrank_step)
@@ -133,30 +133,30 @@ class TestRandwalkStep:
         g = make_gnp(12, 0.3, 5, attrs="uniform")
         _, weights = _weighted_setup(g)
         prev = _symmetric_scores(12, seed=0)
-        stepped = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
+        stepped = matrix_form_step(prev, g, weights, 0.8)
         expected = oracle_simrank_step(prev.tolist(), adjacency_sets(g), 0.8)
-        assert np.abs(stepped.values - np.array(expected)).max() < 1e-12
+        assert np.abs(stepped - np.array(expected)).max() < 1e-12
 
     def test_isolated_endpoint_scores_zero(self):
         g = AttributedGraph.build(3, [(0, 1)], attributes=np.ones((3, 1)))
         _, weights = _weighted_setup(g)
-        stepped = matrix_form_step(ScoreMatrix(values=np.eye(3)), g, weights, 0.8)
-        assert stepped.values[0, 2] == 0.0
-        assert stepped.values[1, 2] == 0.0
+        stepped = matrix_form_step(np.eye(3), g, weights, 0.8)
+        assert stepped[0, 2] == 0.0
+        assert stepped[1, 2] == 0.0
 
     def test_diagonal_pinned(self):
         g = make_gnp(10, 0.3, 6, attrs="random")
         _, weights = _weighted_setup(g)
-        stepped = matrix_form_step(ScoreMatrix(values=np.eye(10)), g, weights, 0.8)
-        assert (np.diag(stepped.values) == 1.0).all()
+        stepped = matrix_form_step(np.eye(10), g, weights, 0.8)
+        assert (np.diag(stepped) == 1.0).all()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_pure_python_oracle(self, seed):
         g = make_gnp(12, 0.3, seed, attrs="random")
         _, weights = _weighted_setup(g)
         prev = _symmetric_scores(12, seed=seed + 100)
-        stepped = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
-        assert np.abs(stepped.values - _direct_step(prev, g, 0.8)).max() < 1e-10
+        stepped = matrix_form_step(prev, g, weights, 0.8)
+        assert np.abs(stepped - _direct_step(prev, g, 0.8)).max() < 1e-10
 
 
 class TestMatrixFormStep:
@@ -169,8 +169,8 @@ class TestMatrixFormStep:
         prev = rng.random((n, n))
         prev = (prev + prev.T) / 2
         np.fill_diagonal(prev, 1.0)
-        fast = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
-        assert np.abs(_direct_step(prev, g, 0.8) - fast.values).max() < 1e-10
+        fast = matrix_form_step(prev, g, weights, 0.8)
+        assert np.abs(_direct_step(prev, g, 0.8) - fast).max() < 1e-10
 
     def test_subnormal_weight_matches_direct_step(self):
         # sim(0, 1) = 1e-310 makes D(0, 1) subnormal; c / D would overflow
@@ -178,15 +178,15 @@ class TestMatrixFormStep:
         g = AttributedGraph.build(3, [(0, 1)], attributes=attrs)
         _, weights = _weighted_setup(g)
         prev = _symmetric_scores(3, seed=0)
-        fast = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8)
-        assert np.isfinite(fast.values).all()
-        assert np.abs(_direct_step(prev, g, 0.8) - fast.values).max() < 1e-12
+        fast = matrix_form_step(prev, g, weights, 0.8)
+        assert np.isfinite(fast).all()
+        assert np.abs(_direct_step(prev, g, 0.8) - fast).max() < 1e-12
 
     def test_edgeless_graph_keeps_identity(self):
         g = AttributedGraph.build(4, [], attributes=np.ones((4, 2)))
         _, weights = _weighted_setup(g)
-        stepped = matrix_form_step(ScoreMatrix(values=np.eye(4)), g, weights, 0.8)
-        assert np.array_equal(stepped.values, np.eye(4))
+        stepped = matrix_form_step(np.eye(4), g, weights, 0.8)
+        assert np.array_equal(stepped, np.eye(4))
 
 
 class TestMultiTileSweep:
@@ -197,9 +197,9 @@ class TestMultiTileSweep:
         g = _sparse_graph(n, seed=n)
         _, weights = _weighted_setup(g)
         prev = _symmetric_scores(n, seed=n + 1)
-        stepped = matrix_form_step(ScoreMatrix(values=prev), g, weights, 0.8).values
+        stepped = matrix_form_step(prev, g, weights, 0.8)
         expected = oracle_dense_sweep(prev, g.adjacency_matrix().toarray(),
-                                      weights.edge_prob.toarray(), 0.8)
+                                      weights.toarray(), 0.8)
         assert np.abs(stepped - expected).max() < 1e-12
         assert np.array_equal(stepped, stepped.T)
         assert (np.diag(stepped) == 1.0).all()
@@ -211,7 +211,7 @@ class TestMultiTileSweep:
         sim, weights = _weighted_setup(g)
         scores = randwalk_solve(g, PropagationConfig())
         adjacency = g.adjacency_matrix().toarray()
-        prob = weights.edge_prob.toarray()
+        prob = weights.toarray()
         current = randwalk_init(g, sim, "attrsim").values
         expected = []
         for _ in range(scores.iterations):
@@ -260,7 +260,7 @@ class TestSweepsOnlyNodesWithEdges:
         if solver == "simrank":
             cfg = PropagationConfig(max_iterations=max_iterations)
             fast = simrank_classic(g, cfg)
-            weights = TransmissionWeights(edge_prob=g.adjacency_matrix())
+            weights = g.adjacency_matrix()
             start = np.eye(g.n)
         else:
             cfg = PropagationConfig(max_iterations=max_iterations,
@@ -269,7 +269,7 @@ class TestSweepsOnlyNodesWithEdges:
             sim, weights = _weighted_setup(g)
             start = randwalk_init(g, sim, cfg.init_mode).values
         values, deltas, iterations, converged = oracle_full_solve(
-            lambda s: matrix_form_step(ScoreMatrix(values=s), g, weights, cfg.c).values,
+            lambda s: matrix_form_step(s, g, weights, cfg.c),
             start, cfg.tolerance, cfg.max_iterations)
         assert np.array_equal(fast.values, values)
         assert fast.deltas == deltas
@@ -292,7 +292,7 @@ class TestSweepsOnlyNodesWithEdges:
         g = _isolated_node_graph("one-isolated")
         sim, weights = _weighted_setup(g)
         start = randwalk_init(g, sim, "attrsim").values
-        swept = matrix_form_step(ScoreMatrix(values=start), g, weights, 0.8).values
+        swept = matrix_form_step(start, g, weights, 0.8)
         kept = np.abs(swept - start)[:4, :4].max()
         scores = randwalk_solve(g, PropagationConfig(max_iterations=1))
         assert kept < start[4, 0] == scores.deltas[0]
