@@ -21,10 +21,10 @@ import numpy as np
 
 from .baselines import BaselineConfig
 from .errors import ConfigError
-from .evaluation import (METHOD_NAMES, ExperimentConfig, canonical_method,
-                         format_report, run_experiment, score_method)
-from .graph import (load_attributes, load_edge_list, nonedge_mask, save_attributes,
-                    save_edge_list, write_id_map)
+from .evaluation import (METHOD_NAMES, ExperimentConfig, _check_dataset_label,
+                         canonical_method, format_report, run_experiment, score_method)
+from .graph import (_read_lines, load_attributes, load_edge_list, nonedge_mask,
+                    save_attributes, save_edge_list, write_id_map)
 from .netstats import format_stats, generate_planted_attribute_graph, stats_report
 from .propagation import INIT_MODES, PropagationConfig, similarity_matrix
 
@@ -113,18 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path) -> dict:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in _read_lines(_require_file(path, "config"), ConfigError):
+        if line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -253,9 +249,7 @@ def cmd_evaluate(opts: dict) -> int:
     methods = [canonical_method(name) for name in _method_list(opts["method"])]
     cfg = _experiment_config(opts)
     dataset = opts["dataset"] or Path(_require_file(opts.get("edges"), "--edges")).stem
-    if any(char in dataset for char in ',"\r\n'):
-        raise ConfigError(f"dataset label {dataset!r} has a comma, double quote, CR or LF, "
-                          "which the report's CSV records cannot hold; set --dataset")
+    _check_dataset_label(dataset)
     graph = _load_graph(opts)
     report = run_experiment(graph, methods, cfg, repetitions=opts["reps"], dataset=dataset)
     _write_id_map(opts, graph)

@@ -217,6 +217,12 @@ def auc_exact(scores: ScoreMatrix, probe: np.ndarray, train_graph: AttributedGra
                      n_higher=n_higher, n_equal=n_equal, mode="exact")
 
 
+def _check_dataset_label(dataset: str) -> None:
+    if any(char in dataset for char in ',"\r\n'):
+        raise ConfigError(f"dataset label {dataset!r} has a comma, double quote, CR or LF, "
+                          "which the report's CSV records cannot hold; set --dataset")
+
+
 def run_experiment(graph: AttributedGraph, methods: list, cfg: ExperimentConfig,
                    repetitions: int = 10, dataset: str = "dataset") -> EvalReport:
     """Repeated random-split evaluation of several methods on one graph.
@@ -231,6 +237,7 @@ def run_experiment(graph: AttributedGraph, methods: list, cfg: ExperimentConfig,
         raise ConfigError("need at least one method to evaluate")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    _check_dataset_label(dataset)
     names = []
     for name in methods:
         key = canonical_method(name)

@@ -130,10 +130,11 @@ def nonedge_mask(n: int, *edge_sets) -> np.ndarray:
     return mask
 
 
-def _check_ascii_numbers(line: str, path, lineno: int) -> None:
+def _ascii_tokens(line: str, path, lineno: int) -> list:
     # int() and float() also read '_' digit separators and non-ASCII digits
     if not line.isascii() or "_" in line:
         raise ParseError(f"{path}:{lineno}: numbers must be plain ASCII, got {line!r}")
+    return line.split()
 
 
 def _parse_node_id(token: str, indexing: str, path, lineno: int) -> int:
@@ -155,6 +156,20 @@ def _check_indexing(indexing: str) -> str:
     return key
 
 
+def _read_lines(path, error):
+    """Yield (line number, stripped line) for each non-blank line of a UTF-8
+    text file read with universal newlines. A line holding a byte that is not
+    UTF-8, which surrogateescape decodes to U+DC80..U+DCFF, raises ``error``
+    naming path:line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise error(f"{path}:{lineno}: not UTF-8 text")
+            if line:
+                yield lineno, line
+
+
 def load_edge_list(path, indexing: str = "zero") -> AttributedGraph:
     """Load an undirected graph from an edge-list text file.
 
@@ -163,38 +178,28 @@ def load_edge_list(path, indexing: str = "zero") -> AttributedGraph:
     range the skipped ids become isolated nodes.
     """
     indexing = _check_indexing(indexing)
-    edges = []
-    max_id = -1
+    pairs = []
     declared_n = 0
-    self_loops = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _NODES_DIRECTIVE.match(line)
-                if m:
-                    count = m.group(1)
-                    if not (count.isascii() and count.isdigit()):
-                        raise ParseError(f"{path}:{lineno}: invalid node count {count!r}")
-                    declared_n = max(declared_n, int(count))
-                continue
-            _check_ascii_numbers(line, path, lineno)
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two node ids, got {line!r}")
-            u = _parse_node_id(tokens[0], indexing, path, lineno)
-            v = _parse_node_id(tokens[1], indexing, path, lineno)
-            max_id = max(max_id, u, v)
-            if u == v:
-                self_loops += 1
-                continue
-            edges.append((u, v))
+    for lineno, line in _read_lines(path, ParseError):
+        if line.startswith("#"):
+            m = _NODES_DIRECTIVE.match(line)
+            if m:
+                count = m.group(1)
+                if not (count.isascii() and count.isdigit()):
+                    raise ParseError(f"{path}:{lineno}: invalid node count {count!r}")
+                declared_n = max(declared_n, int(count))
+            continue
+        tokens = _ascii_tokens(line, path, lineno)
+        if len(tokens) != 2:
+            raise ParseError(f"{path}:{lineno}: expected two node ids, got {line!r}")
+        pairs.append((_parse_node_id(tokens[0], indexing, path, lineno),
+                      _parse_node_id(tokens[1], indexing, path, lineno)))
+    ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    self_loops = int(np.count_nonzero(ids[:, 0] == ids[:, 1]))
     if self_loops:
         logger.warning("%s: dropped %d self-loop(s)", path, self_loops)
-    n = max(declared_n, max_id + 1)
-    return AttributedGraph.build(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    n = max(declared_n, int(ids.max(initial=-1)) + 1)
+    return AttributedGraph.build(n, ids)
 
 
 def save_edge_list(graph: AttributedGraph, path) -> None:
@@ -203,6 +208,17 @@ def save_edge_list(graph: AttributedGraph, path) -> None:
         handle.write(f"#nodes {graph.n}\n")
         for u, v in graph.edges.tolist():
             handle.write(f"{u} {v}\n")
+
+
+def _sparse_entry(tok: str, offset: int, path, lineno: int) -> tuple:
+    # (index, index text, value text, what a bad value is called)
+    idx_str, _, val_str = tok.partition(":")
+    if not val_str:
+        raise ParseError(f"{path}:{lineno}: expected 'index:value', got {tok!r}")
+    try:
+        return int(idx_str) - offset, idx_str, val_str, f"sparse entry {tok!r}"
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: invalid sparse entry {tok!r}") from None
 
 
 def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> AttributedGraph:
@@ -214,75 +230,56 @@ def load_attributes(path, graph: AttributedGraph, indexing: str = "zero") -> Att
     ``nan`` and ``inf`` are rejected with a ``ParseError``.
     """
     indexing = _check_indexing(indexing)
-    attr_dim = None
-    fmt = None
     values: np.ndarray | None = None
-    seen: set[int] = set()
-    duplicates = 0
+    nodes = []
     negatives = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _ATTR_HEADER.match(line)
-                if m and fmt is not None:
-                    raise ParseError(f"{path}:{lineno}: second attribute header {line!r}, "
-                                     f"after '#{fmt} {attr_dim}'")
-                if m:
-                    fmt = m.group(1)
-                    attr_dim = int(m.group(2))
-                    values = np.zeros((graph.n, attr_dim))
-                continue
-            if fmt is None or values is None:
-                raise ParseError(f"{path}:{lineno}: data before '#dense m' / '#sparse m' header")
-            _check_ascii_numbers(line, path, lineno)
-            tokens = line.split()
-            node = _parse_node_id(tokens[0], indexing, path, lineno)
-            if node >= graph.n:
-                raise ParseError(f"{path}:{lineno}: node id {tokens[0]} >= node count {graph.n}")
-            if node in seen:
-                duplicates += 1
-            seen.add(node)
-            if fmt == "dense":
-                if len(tokens) - 1 != attr_dim:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected {attr_dim} values, got {len(tokens) - 1}"
-                    )
-                try:
-                    row = np.array([float(t) for t in tokens[1:]])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: invalid attribute value") from None
-                negatives += int(np.sum(row < 0))
-            else:
-                row = np.zeros(attr_dim)
-                filled = set()
-                for tok in tokens[1:]:
-                    idx_str, _, val_str = tok.partition(":")
-                    if not val_str:
-                        raise ParseError(f"{path}:{lineno}: expected 'index:value', got {tok!r}")
-                    try:
-                        idx = int(idx_str)
-                        val = float(val_str)
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: invalid sparse entry {tok!r}") from None
-                    if indexing == "one":
-                        idx -= 1
-                    if not 0 <= idx < attr_dim:
-                        raise ParseError(
-                            f"{path}:{lineno}: attribute index {idx_str} out of range for {attr_dim} attributes"
-                        )
-                    if idx in filled:
-                        raise ParseError(f"{path}:{lineno}: attribute index {idx_str} repeated")
-                    filled.add(idx)
-                    row[idx] = val
-                    negatives += int(val < 0)
-            if not np.isfinite(row).all():
-                raise ParseError(f"{path}:{lineno}: non-finite attribute value")
-            values[node] = row
-    if fmt is None or values is None:
+    for lineno, line in _read_lines(path, ParseError):
+        if line.startswith("#"):
+            m = _ATTR_HEADER.match(line)
+            if m and values is not None:
+                raise ParseError(f"{path}:{lineno}: second attribute header {line!r}, "
+                                 f"after '#{fmt} {attr_dim}'")
+            if m:
+                fmt = m.group(1)
+                attr_dim = int(m.group(2))
+                values = np.zeros((graph.n, attr_dim))
+            continue
+        if values is None:
+            raise ParseError(f"{path}:{lineno}: data before '#dense m' / '#sparse m' header")
+        tokens = _ascii_tokens(line, path, lineno)
+        node = _parse_node_id(tokens[0], indexing, path, lineno)
+        if node >= graph.n:
+            raise ParseError(f"{path}:{lineno}: node id {tokens[0]} >= node count {graph.n}")
+        nodes.append(node)
+        if fmt == "dense":
+            if len(tokens) - 1 != attr_dim:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {attr_dim} values, got {len(tokens) - 1}"
+                )
+            entries = ((k, k, text, "attribute value") for k, text in enumerate(tokens[1:]))
+        else:
+            entries = (_sparse_entry(tok, indexing == "one", path, lineno) for tok in tokens[1:])
+        values[node] = 0.0
+        filled = set()
+        for idx, idx_str, text, what in entries:
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: invalid {what}") from None
+            if not 0 <= idx < attr_dim:
+                raise ParseError(
+                    f"{path}:{lineno}: attribute index {idx_str} out of range for {attr_dim} attributes"
+                )
+            if idx in filled:
+                raise ParseError(f"{path}:{lineno}: attribute index {idx_str} repeated")
+            filled.add(idx)
+            values[node, idx] = value
+        if not np.isfinite(values[node]).all():
+            raise ParseError(f"{path}:{lineno}: non-finite attribute value")
+        negatives += int(np.count_nonzero(values[node] < 0))
+    if values is None:
         raise ParseError(f"{path}: missing '#dense m' / '#sparse m' header")
+    duplicates = len(nodes) - len(set(nodes))
     if duplicates:
         logger.warning("%s: %d duplicate node line(s), later lines win", path, duplicates)
     if negatives:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,21 @@ class TestStats:
         assert main(argv) == 2
         assert bad in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,data,code,kind", [
+        pytest.param("--edges", b"0 1\n1 \xff2\n", 2, "data error", id="edges"),
+        pytest.param("--attrs", b"#dense 2\n# \x80\n0 1 1\n", 2, "data error", id="attrs"),
+        pytest.param("--config", b"c=0.8\n# \xff\n", 1, "configuration error", id="config"),
+    ])
+    def test_byte_not_utf8_names_file_and_line(self, triangle_minus_edge, tmp_path, capsys,
+                                               flag, data, code, kind):
+        edges, attrs = triangle_minus_edge
+        files = {"--edges": edges, "--attrs": attrs, "--config": tmp_path / "run.cfg"}
+        files["--config"].write_text("c=0.8\n")
+        files[flag].write_bytes(data)
+        argv = ["stats"] + [arg for item in files.items() for arg in map(str, item)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"linkpred: {kind}: {files[flag]}:2: not UTF-8 text\n"
+
     def test_id_map_written(self, tmp_path):
         edges = tmp_path / "e.txt"
         edges.write_text("1 2\n2 3\n")
@@ -419,6 +435,25 @@ class TestOptions:
         argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
         assert main(argv) == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == ["attrs.txt", "edges.txt"]
+
+    def test_readme_tour_runs_and_prints_its_stats_row(self, tmp_path, monkeypatch, capsys):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        start = text.index("```\n", text.index("## Command line")) + 4
+        tour = text[start:text.index("```", start)].replace("\\\n", " ")
+        commands, printed = [], {}
+        for line in tour.splitlines():
+            if line.startswith("linkpred "):
+                commands.append(shlex.split(line, comments=True)[1:])
+            elif line.startswith("# "):  # sample output of the command above
+                printed.setdefault(len(commands) - 1, []).append(line[2:])
+        assert [argv[0] for argv in commands] == ["generate", "stats", "predict", "evaluate"]
+        assert printed[1][1] == "200  804  4    200/1  0.3739  0.0846  0.0123  8.0400"
+        monkeypatch.chdir(tmp_path)
+        for i, argv in enumerate(commands):
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out
+            if i in printed:
+                assert [row.rstrip() for row in out.splitlines()] == printed[i]
 
     def test_defaults_match_the_library(self):
         assert cli._experiment_config(cli.DEFAULTS) == ExperimentConfig()

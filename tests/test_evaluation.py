@@ -339,6 +339,15 @@ class TestRunExperiment:
             assert evaluation.score_method(method, g, ExperimentConfig()) is sentinel
         assert len(calls) == len(methods)
 
+    @pytest.mark.parametrize("label", ["a,b\nx", "a,b", 'say "a"', "a\rb"])
+    def test_dataset_label_that_breaks_csv_fails_before_the_first_split(self, monkeypatch,
+                                                                        label):
+        # format_report writes the label unquoted into every CSV record
+        monkeypatch.setattr(evaluation, "split_probe", lambda *args: pytest.fail("split"))
+        g = make_gnp(10, 0.3, 6)
+        with pytest.raises(ConfigError, match="dataset label"):
+            run_experiment(g, ["cn"], ExperimentConfig(), repetitions=1, dataset=label)
+
     @pytest.mark.parametrize("kwargs", [
         {"split_fraction": 0.0}, {"split_fraction": 1.0},
         {"auc_mode": "approximate"}, {"auc_samples": 0}, {"master_seed": -1},

@@ -307,21 +307,33 @@ def _mutate(text: str, rng) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fuzz_source(tmp_path, fmt):
+    """A valid edge, dense or sparse file whose first line is its header comment."""
+    graph = make_gnp(30, 0.15, 4, attrs="random", attr_dim=3)
+    source = tmp_path / "source.txt"
+    if fmt == "edges":
+        save_edge_list(graph, source)
+    elif fmt == "dense":
+        save_attributes(graph, source)
+    else:
+        rows = [f"{v} " + " ".join(f"{k}:{x:.6g}" for k, x in enumerate(row) if x > 0.5)
+                for v, row in enumerate(graph.attributes)]
+        source.write_text("#sparse 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return graph, source
+
+
+def _load(fmt, path, graph, indexing="zero"):
+    if fmt == "edges":
+        return load_edge_list(str(path), indexing=indexing)
+    return load_attributes(str(path), graph, indexing=indexing)
+
+
 class TestLoaderFuzz:
     """Seeded mutants of valid files either load or fail with a located error."""
 
     @pytest.mark.parametrize("fmt", ["edges", "dense", "sparse"])
     def test_mutants_load_or_name_path_and_line(self, tmp_path, fmt):
-        graph = make_gnp(30, 0.15, 4, attrs="random", attr_dim=3)
-        source = tmp_path / "source.txt"
-        if fmt == "edges":
-            save_edge_list(graph, source)
-        elif fmt == "dense":
-            save_attributes(graph, source)
-        else:
-            rows = [f"{v} " + " ".join(f"{k}:{x:.6g}" for k, x in enumerate(row) if x > 0.5)
-                    for v, row in enumerate(graph.attributes)]
-            source.write_text("#sparse 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        graph, source = _fuzz_source(tmp_path, fmt)
         path = tmp_path / "mutant.txt"
         # a line-level error names path:line; a whole-file one (no header) the path
         located = re.compile(re.escape(str(path)) + r":(\d+:)? ")
@@ -331,10 +343,7 @@ class TestLoaderFuzz:
             path.write_text(_mutate(source.read_text(encoding="utf-8"), rng), encoding="utf-8")
             indexing = "one" if rng.random() < 0.25 else "zero"  # flips the id base
             try:
-                if fmt == "edges":
-                    load_edge_list(str(path), indexing=indexing)
-                else:
-                    load_attributes(str(path), graph, indexing=indexing)
+                _load(fmt, path, graph, indexing)
                 outcomes["loaded"] += 1
             except ParseError as exc:
                 assert located.match(str(exc)), str(exc)
@@ -342,3 +351,58 @@ class TestLoaderFuzz:
             except ConfigError:
                 outcomes["rejected"] += 1
         assert min(outcomes.values()) >= 20, outcomes
+
+    @pytest.mark.parametrize("fmt", ["edges", "dense", "sparse"])
+    def test_byte_not_utf8_names_path_and_line(self, tmp_path, fmt):
+        graph, source = _fuzz_source(tmp_path, fmt)
+        lines = source.read_bytes().split(b"\n")[:-1]
+        path = tmp_path / "mutant.txt"
+        # a stream of its own, so the text mutants above keep their bytes
+        rng = np.random.default_rng([["edges", "dense", "sparse"].index(fmt), 1])
+        for _ in range(100):
+            # a quarter of the bytes go into the header comment, after its '#'
+            row = 0 if rng.random() < 0.25 else int(rng.integers(1, len(lines)))
+            at = int(rng.integers(row == 0, len(lines[row]) + 1))
+            byte = (b"\xff", b"\x80", b"\xc3")[int(rng.integers(3))]  # the file is ASCII
+            mutant = lines.copy()
+            mutant[row] = lines[row][:at] + byte + lines[row][at:]
+            path.write_bytes(b"\n".join(mutant) + b"\n")
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{row + 1}: "
+                                                 "not UTF-8 text$"):
+                _load(fmt, path, graph)
+
+
+class TestLineEndings:
+    FILES = {  # line 2 is blank, line 3 holds the first data line
+        "edges": "#nodes 6\n\n0 1\n1 2\n3 4\n",
+        "dense": "#dense 2\n\n0 1 0\n1 0.5 0.5\n4 0 1\n",
+        "sparse": "#sparse 2\n\n0 0:1\n1 0:0.5 1:0.5\n4 1:1\n",
+    }
+    BAD_LINE_3 = {"edges": ("0 x", "invalid node id 'x'"),
+                  "dense": ("0 1 y", "invalid attribute value"),
+                  "sparse": ("0 0:y", "invalid sparse entry '0:y'")}
+
+    def _write(self, tmp_path, fmt, newline, text=None):
+        path = tmp_path / f"{fmt}.txt"
+        path.write_bytes((text or self.FILES[fmt]).replace("\n", newline).encode("ascii"))
+        return path
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_same_graph_whatever_the_line_ending(self, tmp_path, newline):
+        graph = load_edge_list(self._write(tmp_path, "edges", newline))
+        assert graph.n == 6
+        assert graph.edges.tolist() == [[0, 1], [1, 2], [3, 4]]
+        expected = np.array([[1, 0], [0.5, 0.5], [0, 0], [0, 0], [0, 1], [0, 0]])
+        for fmt in ("dense", "sparse"):
+            loaded = load_attributes(self._write(tmp_path, fmt, newline), graph)
+            assert np.array_equal(loaded.attributes, expected)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("fmt", ["edges", "dense", "sparse"])
+    def test_bad_line_3_is_reported_as_line_3(self, tmp_path, newline, fmt):
+        graph = AttributedGraph.build(6, [])
+        bad, message = self.BAD_LINE_3[fmt]
+        lines = self.FILES[fmt].split("\n")
+        path = self._write(tmp_path, fmt, newline, "\n".join(lines[:2] + [bad] + lines[3:]))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
+            _load(fmt, path, graph)
