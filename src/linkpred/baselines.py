@@ -5,7 +5,8 @@ degrees k (cn, salton, jaccard, sorensen, hpi, hdi, lhn-i, pa; each one's
 formula is its entry in ``_LOCAL_FORMULAS``), plus two path-based ones:
 
     lp        (A^2) + eps * (A^3)
-    katz      sum_{l>=1} beta^l (A^l)  =  (I - beta A)^{-1} - I
+    katz      sum_{l>=1} beta^l (A^l)  =  (I - beta A)^{-1} - I,
+              by a Cholesky inverse per connected component
 
 Zero denominators (isolated endpoints) score 0. All outputs are symmetric
 and non-negative with a zero diagonal.
@@ -16,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError
-from .graph import AttributedGraph
+from .graph import AttributedGraph, per_component
 from .propagation import ScoreMatrix
 
 # kind -> (numerator, denominator) over the common-neighbor counts z and the
@@ -86,14 +88,18 @@ def lp_index(graph: AttributedGraph, cfg: BaselineConfig) -> ScoreMatrix:
 
 
 def katz_index(graph: AttributedGraph, cfg: BaselineConfig) -> ScoreMatrix:
-    """Damped count of paths of every length, by direct linear solve.
+    """Damped count of paths of every length, by a Cholesky inverse per component.
 
     Requires katz_beta below the reciprocal spectral radius of the
     adjacency matrix so the path series converges. For a non-negative
     symmetric matrix the radius is the largest eigenvalue, computed by
-    Lanczos iteration (``eigsh``) to machine precision. Negative entries
-    of the inverse, which only rounding can produce once beta passes that
-    check, are clamped to 0.
+    Lanczos iteration (``eigsh``) to machine precision. Below it,
+    I - beta A is symmetric positive definite, and block-diagonal over the
+    connected components: each component of two or more nodes is inverted
+    on its own by a Cholesky factorisation (LAPACK ``potrf`` + ``potri``),
+    and pairs in different components, or with an isolated node, score 0.
+    Negative entries of the inverse, which only rounding can produce once
+    beta passes that check, are clamped to 0.
     """
     adjacency = graph.adjacency_matrix()
     radius = 0.0
@@ -104,17 +110,23 @@ def katz_index(graph: AttributedGraph, cfg: BaselineConfig) -> ScoreMatrix:
         raise ConfigError(
             f"katz_beta={cfg.katz_beta} too large: must be < 1/spectral radius ≈ {1.0 / radius:.6g}"
         )
-    n = graph.n
-    system = np.eye(n) - cfg.katz_beta * adjacency.toarray()
-    try:
-        inverse = np.linalg.solve(system, np.eye(n))
-    except np.linalg.LinAlgError:
-        raise ConfigError(
-            f"katz_beta={cfg.katz_beta} makes the system singular; "
-            f"choose beta < 1/spectral radius ≈ {1.0 / max(radius, 1e-300):.6g}"
-        ) from None
-    # off the diagonal, (I - beta A)^{-1} - I is the inverse itself; the LU
-    # solve is not exactly symmetric, so keep its upper triangle and mirror it
-    values = np.triu(np.maximum(inverse, 0.0, out=inverse), 1)
-    values += values.T
-    return ScoreMatrix(values=values)
+
+    def invert(block) -> np.ndarray:
+        system = np.eye(block.shape[0]) - cfg.katz_beta * block.toarray()
+        # the system is symmetric, so its transpose is the same matrix in the
+        # Fortran order LAPACK factors in place
+        factor, info = dpotrf(system.T, overwrite_a=True)
+        if info == 0:
+            inverse, info = dpotri(factor, overwrite_c=True)
+        if info:
+            raise ConfigError(
+                f"katz_beta={cfg.katz_beta} makes the system singular; "
+                f"choose beta < 1/spectral radius ≈ {1.0 / max(radius, 1e-300):.6g}"
+            )
+        # off the diagonal, (I - beta A)^{-1} - I is the inverse itself, and
+        # potri writes only its upper triangle: keep that and mirror it
+        values = np.triu(np.maximum(inverse, 0.0, out=inverse), 1)
+        values += values.T
+        return values
+
+    return ScoreMatrix(values=per_component(graph, invert, "katz"))

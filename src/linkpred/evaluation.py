@@ -143,8 +143,12 @@ def split_probe(graph: AttributedGraph, fraction: float, seed: int) -> ProbeSpli
     return ProbeSplit(train_graph=train, probe_edges=probe, seed=seed)
 
 
-def _nonedge_pool(train_graph: AttributedGraph, probe: np.ndarray) -> np.ndarray:
+def _nonedge_pool(scores: ScoreMatrix, train_graph: AttributedGraph,
+                  probe: np.ndarray) -> np.ndarray:
     # the pairs a probe edge is compared against: neither train nor probe edges
+    n = train_graph.n
+    if scores.values.shape != (n, n):
+        raise EvaluationError(f"scores are {scores.values.shape}, train graph has {n} nodes")
     if len(probe) == 0:
         raise EvaluationError("probe set is empty")
     mask = nonedge_mask(train_graph.n, train_graph.edges, probe)
@@ -153,29 +157,32 @@ def _nonedge_pool(train_graph: AttributedGraph, probe: np.ndarray) -> np.ndarray
     return mask
 
 
-def _sample_nonedges(rng, mask: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    # rejection sampling over unordered pairs i < j, hits kept in draw order
-    picked = np.empty((0, 2), dtype=np.int64)
+def _sample_nonedges(rng, mask: np.ndarray, count: int) -> np.ndarray:
+    # rejection sampling over unordered pairs i < j, hits kept in draw order as
+    # flat indices i * n + j; the mask is False on the diagonal, so a = b misses
+    n = len(mask)
+    flat_mask = mask.ravel()
+    picked = np.empty(0, dtype=np.int64)
     while len(picked) < count:
         batch = max(2 * (count - len(picked)), 16)
-        a = rng.integers(0, len(mask), size=batch)
-        b = rng.integers(0, len(mask), size=batch)
-        keep = a != b
-        pairs = np.sort(np.column_stack([a[keep], b[keep]]), axis=1)
-        picked = np.concatenate([picked, pairs[mask[pairs[:, 0], pairs[:, 1]]]])[:count]
-    return picked[:, 0], picked[:, 1]
+        a = rng.integers(0, n, size=batch)
+        b = rng.integers(0, n, size=batch)
+        index = np.minimum(a, b) * n + np.maximum(a, b)
+        picked = np.concatenate([picked, index[flat_mask[index]]])[:count]
+    return picked
 
 
 def auc_sampled(scores: ScoreMatrix, probe: np.ndarray, train_graph: AttributedGraph,
                 n: int, seed: int) -> AucResult:
     """AUC from n independent (probe edge, non-edge) comparisons."""
     probe = np.asarray(probe, dtype=np.int64).reshape(-1, 2)
-    mask = _nonedge_pool(train_graph, probe)
+    mask = _nonedge_pool(scores, train_graph, probe)
     rng = np.random.default_rng(seed)
     pick = rng.integers(0, len(probe), size=n)
-    ne_i, ne_j = _sample_nonedges(rng, mask, n)
-    probe_scores = scores.values[probe[pick, 0], probe[pick, 1]]
-    nonedge_scores = scores.values[ne_i, ne_j]
+    nonedges = _sample_nonedges(rng, mask, n)
+    # take with no axis indexes the row-major flattening, i * n + j
+    probe_scores = scores.values.take(probe[:, 0] * len(mask) + probe[:, 1]).take(pick)
+    nonedge_scores = scores.values.take(nonedges)
     diff = probe_scores - nonedge_scores
     n_higher = int(np.count_nonzero(diff > TIE_TOLERANCE))
     n_equal = int(np.count_nonzero(np.abs(diff) <= TIE_TOLERANCE))
@@ -206,7 +213,7 @@ def auc_exact(scores: ScoreMatrix, probe: np.ndarray, train_graph: AttributedGra
     O(N log N) in the N non-edges and there is no cap on the pair count.
     """
     probe = np.asarray(probe, dtype=np.int64).reshape(-1, 2)
-    nonedge_scores = np.sort(scores.values[_nonedge_pool(train_graph, probe)])
+    nonedge_scores = np.sort(scores.values[_nonedge_pool(scores, train_graph, probe)])
     probe_scores = scores.values[probe[:, 0], probe[:, 1]]
     total = len(probe) * len(nonedge_scores)
     # |p - r| <= tol  <=>  p - r > -tol - ulp  and not  p - r > tol

@@ -15,8 +15,9 @@ Dense lines hold ``node_id`` followed by m values; sparse lines hold
 ``node_id idx:value ...`` with each index at most once. Nodes absent from
 the file get the all-zero vector.
 
-Data lines are plain ASCII: ids and indices are ASCII decimal integers,
-and ``_`` digit separators are rejected.
+Files are UTF-8, and a leading byte-order mark is skipped. Data lines are
+plain ASCII: ids and indices are ASCII decimal integers below 2^63, and
+``_`` digit separators are rejected.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .errors import ConfigError, ParseError
 
@@ -130,6 +132,28 @@ def nonedge_mask(n: int, *edge_sets) -> np.ndarray:
     return mask
 
 
+def per_component(graph: AttributedGraph, solve, label: str) -> np.ndarray:
+    """n x n array holding ``solve(block)`` on each connected component.
+
+    ``block`` is the CSR adjacency of a component of two or more nodes, in
+    the graph's ascending node order; ``solve`` returns its dense result,
+    which is scattered into an n x n zero array. A component of one node is
+    skipped, so every pair in no common component, and the diagonal of an
+    isolated node, stays 0. Logs the component sizes under ``label``.
+    """
+    adjacency = graph.adjacency_matrix()
+    count, labels = csgraph.connected_components(adjacency, directed=False)
+    sizes = np.bincount(labels, minlength=count)
+    logger.info("%s: %d components, largest %d of %d nodes (%d isolated)", label, count,
+                sizes.max(initial=0), graph.n, np.count_nonzero(sizes == 1))
+    values = np.zeros((graph.n, graph.n))
+    # a stable sort keeps each component's nodes ascending
+    for nodes in np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]):
+        if nodes.size > 1:
+            values[np.ix_(nodes, nodes)] = solve(adjacency[nodes][:, nodes])
+    return values
+
+
 def _ascii_tokens(line: str, path, lineno: int) -> list:
     # int() and float() also read '_' digit separators and non-ASCII digits
     if not line.isascii() or "_" in line:
@@ -142,6 +166,8 @@ def _parse_node_id(token: str, indexing: str, path, lineno: int) -> int:
         raw = int(token)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: invalid node id {token!r}") from None
+    if raw >= 2 ** 63:
+        raise ParseError(f"{path}:{lineno}: node id {token!r} does not fit in a 64-bit integer")
     if indexing == "one":
         raw -= 1
     if raw < 0:
@@ -158,10 +184,10 @@ def _check_indexing(indexing: str) -> str:
 
 def _read_lines(path, error):
     """Yield (line number, stripped line) for each non-blank line of a UTF-8
-    text file read with universal newlines. A line holding a byte that is not
-    UTF-8, which surrogateescape decodes to U+DC80..U+DCFF, raises ``error``
-    naming path:line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    text file read with universal newlines; a leading byte-order mark is
+    skipped. A line holding a byte that is not UTF-8, which surrogateescape
+    decodes to U+DC80..U+DCFF, raises ``error`` naming path:line."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line.isascii() and re.search("[\udc80-\udcff]", line):

@@ -204,6 +204,37 @@ def oracle_auc_chunked(probe_scores, nonedge_scores, tie_tol: float = 1e-12):
     return (higher + 0.5 * equal) / total, higher, equal, total
 
 
+def oracle_auc_sampled(values: np.ndarray, probe, excluded, n: int, seed: int,
+                       tie_tol: float = 1e-12):
+    """Sampled AUC as the library computed it before flat indexing.
+
+    Draws, from one ``default_rng(seed)``, n probe indices, then batches of
+    (a, b) node pairs; a pair is kept, in draw order, when a != b and its
+    sorted form is in no edge set of ``excluded`` (train and probe edges).
+    Returns (auc, n_comparisons, n_higher, n_equal).
+    """
+    probe = np.asarray(probe, dtype=np.int64).reshape(-1, 2)
+    size = len(values)
+    mask = np.triu(np.ones((size, size), dtype=bool), 1)
+    for edges in excluded:
+        for i, j in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
+            mask[min(i, j), max(i, j)] = False
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(probe), size=n)
+    picked = np.empty((0, 2), dtype=np.int64)
+    while len(picked) < n:
+        batch = max(2 * (n - len(picked)), 16)
+        a = rng.integers(0, size, size=batch)
+        b = rng.integers(0, size, size=batch)
+        keep = a != b
+        pairs = np.sort(np.column_stack([a[keep], b[keep]]), axis=1)
+        picked = np.concatenate([picked, pairs[mask[pairs[:, 0], pairs[:, 1]]]])[:n]
+    diff = values[probe[pick, 0], probe[pick, 1]] - values[picked[:, 0], picked[:, 1]]
+    higher = int(np.count_nonzero(diff > tie_tol))
+    equal = int(np.count_nonzero(np.abs(diff) <= tie_tol))
+    return (higher + 0.5 * equal) / n, n, higher, equal
+
+
 def oracle_bfs_distances(adj: list, source: int) -> list:
     dist = [-1] * len(adj)
     dist[source] = 0

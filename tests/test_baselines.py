@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from linkpred import (AttributedGraph, BaselineConfig, ConfigError, katz_index,
                       local_index, lp_index, LOCAL_INDEX_KINDS)
 from linkpred.baselines import ALIASES
 from _helpers import adjacency_sets, make_gnp
-from _oracles import oracle_katz_series, oracle_local_matrix, oracle_lp_matrix
+from _oracles import (oracle_bfs_distances, oracle_katz_series, oracle_local_matrix,
+                      oracle_lp_matrix)
 
 
 def path3():
@@ -16,6 +19,20 @@ def path3():
 
 def star4():
     return AttributedGraph.build(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def several_components(seed):
+    """40 nodes under a seeded relabelling: a 14-node G(n, p) block, a 6-cycle,
+    a triangle, a two-node component and 15 isolated nodes."""
+    rng = np.random.default_rng(seed)
+    ii, jj = np.triu_indices(14, 1)
+    keep = rng.random(ii.size) < 0.3
+    edges = [(int(i), int(j)) for i, j in zip(ii[keep], jj[keep])]
+    edges += [(i, i + 1) for i in range(13)]  # keeps the block connected
+    edges += [(14 + i, 14 + (i + 1) % 6) for i in range(6)]
+    edges += [(20, 21), (21, 22), (20, 22), (23, 24)]
+    label = rng.permutation(40)
+    return AttributedGraph.build(40, [(label[u], label[v]) for u, v in edges])
 
 
 class TestLocalIndices:
@@ -124,6 +141,31 @@ class TestKatzIndex:
         cfg = BaselineConfig(katz_beta=0.05)
         expected = oracle_katz_series(g.adjacency_matrix().toarray(), cfg.katz_beta)
         assert np.abs(katz_index(g, cfg).values - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("beta", [0.05, 0.1])
+    def test_per_component_matches_series_oracle(self, seed, beta):
+        g = several_components(seed)
+        values = katz_index(g, BaselineConfig(katz_beta=beta)).values
+        expected = oracle_katz_series(g.adjacency_matrix().toarray(), beta, terms=200)
+        assert np.abs(values - expected).max() < 1e-10
+        adj = [sorted(nbrs) for nbrs in adjacency_sets(g)]
+        apart = np.array([[d < 0 for d in oracle_bfs_distances(adj, v)] for v in range(g.n)])
+        assert apart.sum() > 0 and (values[apart] == 0.0).all()
+        assert (np.diag(values) == 0.0).all()
+        assert np.array_equal(values, values.T)
+
+    def test_logs_component_sizes(self, caplog):
+        with caplog.at_level(logging.INFO, logger="linkpred"):
+            katz_index(several_components(0), BaselineConfig())
+        assert caplog.messages == ["katz: 19 components, largest 14 of 40 nodes (15 isolated)"]
+
+    def test_factorisation_failure_is_config_error(self, monkeypatch):
+        # with the guard fooled into a radius of 0, beta = 0.9 leaves I - beta A
+        # indefinite, which the Cholesky factorisation itself must refuse
+        monkeypatch.setattr("linkpred.baselines.eigsh", lambda *args, **kwargs: np.zeros(1))
+        with pytest.raises(ConfigError, match="makes the system singular"):
+            katz_index(make_gnp(20, 0.4, 3), BaselineConfig(katz_beta=0.9))
 
     def test_beta_above_spectral_bound(self):
         g = make_gnp(20, 0.4, 3)

@@ -295,6 +295,33 @@ class TestStats:
         assert main(argv) == code
         assert capsys.readouterr().err == f"linkpred: {kind}: {files[flag]}:2: not UTF-8 text\n"
 
+    def test_node_id_beyond_int64_is_data_error(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0 1\n99999999999999999999 1\n")
+        assert main(["stats", "--edges", str(edges)]) == 2
+        assert capsys.readouterr().err == (f"linkpred: data error: {edges}:2: node id "
+                                           "'99999999999999999999' does not fit in a 64-bit "
+                                           "integer\n")
+
+    @pytest.mark.parametrize("flag,text", [
+        pytest.param("--edges", "0 1\n1 2\n", id="edges"),
+        pytest.param("--attrs", "#dense 2\n0 1 1\n1 1 1\n2 1 1\n", id="dense"),
+        pytest.param("--attrs", "#sparse 2\n0 0:1 1:1\n1 0:1 1:1\n2 0:1 1:1\n", id="sparse"),
+        pytest.param("--config", "top_k=1\n", id="config"),
+    ])
+    def test_byte_order_mark_skipped(self, triangle_minus_edge, tmp_path, capsys, flag, text):
+        edges, attrs = triangle_minus_edge
+        files = {"--edges": edges, "--attrs": attrs, "--config": tmp_path / "run.cfg"}
+        files["--config"].write_text("top_k=1\n")
+        argv = ["predict", "--method", "randwalk"]
+        argv += [arg for item in files.items() for arg in map(str, item)]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert len(expected.splitlines()) == 2  # the header and top_k=1 row
+        files[flag].write_text("\ufeff" + text, encoding="utf-8")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
     def test_id_map_written(self, tmp_path):
         edges = tmp_path / "e.txt"
         edges.write_text("1 2\n2 3\n")

@@ -11,7 +11,7 @@ from linkpred import (LOCAL_INDEX_KINDS, METHOD_NAMES, AttributedGraph, ConfigEr
 from linkpred import evaluation
 from linkpred.baselines import ALIASES
 from _helpers import adjacency_sets, make_gnp
-from _oracles import oracle_auc, oracle_auc_chunked
+from _oracles import oracle_auc, oracle_auc_chunked, oracle_auc_sampled
 
 
 def _score_matrix(n, fill=None, seed=None):
@@ -255,6 +255,34 @@ class TestAucSampled:
         split, scores = _planted_cn_split()
         result = auc_sampled(scores, split.probe_edges, split.train_graph, n=200_000, seed=23)
         assert (result.n_higher, result.n_equal) == (71525, 109159)
+
+    @pytest.mark.parametrize("n", [1, 17, 200_000])
+    @pytest.mark.parametrize("graph,seed", [
+        pytest.param((60, 0.1, 3), 0, id="sparse-0"),
+        pytest.param((60, 0.1, 3), 1, id="sparse-1"),
+        pytest.param((150, 0.02, 4), 2, id="isolated-nodes"),
+        # 8 non-edges among 190 pairs: the rejection loop takes several batches
+        pytest.param((20, 0.95, 5), 3, id="dense"),
+    ])
+    def test_draws_match_oracle(self, graph, seed, n):
+        g = make_gnp(*graph)
+        split = split_probe(g, 0.2, seed=seed + 30)
+        scores = _score_matrix(g.n, seed=seed + 40)
+        scores.values[:] = np.round(scores.values, 2)  # ties as well as strict wins
+        result = auc_sampled(scores, split.probe_edges, split.train_graph, n=n, seed=seed)
+        expected = oracle_auc_sampled(scores.values, split.probe_edges,
+                                      (split.train_graph.edges, split.probe_edges), n, seed)
+        assert (result.auc, result.n_comparisons, result.n_higher, result.n_equal) == expected
+        assert result.mode == "sampled"
+
+    @pytest.mark.parametrize("auc", [auc_exact, auc_sampled], ids=["exact", "sampled"])
+    def test_scores_of_another_size_rejected(self, auc):
+        # sampled pairs index the scores as i * n + j, so n must be the graph's
+        g = make_gnp(12, 0.3, 0)
+        split = split_probe(g, 0.2, seed=1)
+        args = (10, 0) if auc is auc_sampled else ()
+        with pytest.raises(EvaluationError, match=r"scores are \(13, 13\), train graph has 12"):
+            auc(_score_matrix(13, fill=0.5), split.probe_edges, split.train_graph, *args)
 
     def test_close_to_exact(self):
         g = make_gnp(20, 0.25, 6)

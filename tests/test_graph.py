@@ -78,6 +78,14 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="out of range"):
             load_edge_list(_write(tmp_path, "e.txt", "-1 2\n"))
 
+    @pytest.mark.parametrize("token", ["9223372036854775808", "99999999999999999999"])
+    @pytest.mark.parametrize("indexing", ["zero", "one"])
+    def test_id_beyond_int64(self, tmp_path, token, indexing):
+        path = _write(tmp_path, "e.txt", f"1 2\n{token} 1\n")
+        with pytest.raises(ParseError, match=rf"e\.txt:2: node id '{token}' does not fit "
+                                             "in a 64-bit integer$"):
+            load_edge_list(path, indexing=indexing)
+
     def test_one_based(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "e.txt", "1 2\n2 3\n"), indexing="one")
         assert g.n == 3
@@ -396,6 +404,26 @@ class TestLineEndings:
         for fmt in ("dense", "sparse"):
             loaded = load_attributes(self._write(tmp_path, fmt, newline), graph)
             assert np.array_equal(loaded.attributes, expected)
+
+    @pytest.mark.parametrize("fmt", ["edges", "dense", "sparse"])
+    def test_byte_order_mark_skipped(self, tmp_path, fmt):
+        graph = AttributedGraph.build(6, [])
+        bom = "\ufeff".encode()
+        path = tmp_path / f"bom-{fmt}.txt"
+        path.write_bytes(bom + self.FILES[fmt].encode("ascii"))
+        expected = _load(fmt, self._write(tmp_path, fmt, "\n"), graph)
+        loaded = _load(fmt, path, graph)
+        assert np.array_equal(loaded.edges, expected.edges)
+        assert np.array_equal(loaded.attributes, expected.attributes)
+        # line numbers are unchanged, and a later byte that is not UTF-8 is still refused
+        bad, message = self.BAD_LINE_3[fmt]
+        lines = self.FILES[fmt].split("\n")
+        path.write_bytes(bom + "\n".join(lines[:2] + [bad]).encode("ascii"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
+            _load(fmt, path, graph)
+        path.write_bytes(bom + self.FILES[fmt].encode("ascii") + b"\xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:6: not UTF-8 text$"):
+            _load(fmt, path, graph)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("fmt", ["edges", "dense", "sparse"])
