@@ -1,9 +1,9 @@
 """Link prediction on attributed graphs.
 
-Similarity propagation weighted by node-attribute affinity, the classic
-unweighted recursion, ten topological baseline indices, an AUC evaluation
-harness with probe splitting, and network statistics. See the CLI
-(``python -m linkpred``) for batch usage.
+Similarity propagation weighted by node-attribute affinity, ten
+topological baseline indices, an AUC evaluation harness with probe
+splitting, and network statistics. See the CLI (``python -m linkpred``)
+for batch usage.
 """
 
 from .baselines import LOCAL_INDEX_KINDS, BaselineConfig, katz_index, local_index, lp_index
@@ -17,23 +17,20 @@ from .graph import (AttributedGraph, load_attributes, load_edge_list, save_attri
 from .netstats import (NetStatsRow, assortativity, avg_degree, clustering_coefficient,
                        components, efficiency, format_stats,
                        generate_planted_attribute_graph, stats_report)
-from .propagation import (INIT_MODES, PropagationConfig, ScoreMatrix, matrix_form_step,
-                          randwalk_init, randwalk_solve, similarity_matrix, simrank_classic,
-                          transmission_weights)
+from .propagation import (PropagationConfig, ScoreMatrix, matrix_form_step, randwalk_solve,
+                          similarity_matrix, transmission_weights)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributedGraph", "AucResult", "BaselineConfig", "ConfigError", "DataError",
-    "EvalReport", "EvaluationError", "ExperimentConfig", "INIT_MODES",
-    "LOCAL_INDEX_KINDS", "LinkpredError", "METHOD_NAMES", "MethodResult", "NetStatsRow",
-    "ParseError", "ProbeSplit", "PropagationConfig", "ScoreMatrix",
-    "TIE_TOLERANCE", "assortativity", "auc_exact", "auc_sampled",
-    "avg_degree", "canonical_method", "clustering_coefficient", "components",
-    "efficiency", "format_report", "format_stats", "generate_planted_attribute_graph",
-    "katz_index", "load_attributes", "load_edge_list", "local_index", "lp_index",
-    "matrix_form_step", "randwalk_init", "randwalk_solve", "run_experiment",
+    "EvalReport", "EvaluationError", "ExperimentConfig", "LOCAL_INDEX_KINDS",
+    "LinkpredError", "METHOD_NAMES", "MethodResult", "NetStatsRow", "ParseError",
+    "ProbeSplit", "PropagationConfig", "ScoreMatrix", "TIE_TOLERANCE", "assortativity",
+    "auc_exact", "auc_sampled", "avg_degree", "canonical_method", "clustering_coefficient",
+    "components", "efficiency", "format_report", "format_stats",
+    "generate_planted_attribute_graph", "katz_index", "load_attributes", "load_edge_list",
+    "local_index", "lp_index", "matrix_form_step", "randwalk_solve", "run_experiment",
     "save_attributes", "save_edge_list", "score_method", "similarity_matrix",
-    "simrank_classic", "split_probe", "stats_report", "transmission_weights",
-    "write_id_map",
+    "split_probe", "stats_report", "transmission_weights", "write_id_map",
 ]

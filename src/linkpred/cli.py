@@ -26,7 +26,7 @@ from .evaluation import (METHOD_NAMES, ExperimentConfig, _check_dataset_label,
 from .graph import (_read_lines, load_attributes, load_edge_list, nonedge_mask,
                     save_attributes, save_edge_list, write_id_map)
 from .netstats import format_stats, generate_planted_attribute_graph, stats_report
-from .propagation import INIT_MODES, PropagationConfig, similarity_matrix
+from .propagation import PropagationConfig, similarity_matrix
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,7 +55,6 @@ OPTIONS = {
     "c": (0.8, float, "attenuation coefficient"),
     "tol": (1e-6, float, "convergence threshold"),
     "max_iter": (100, int, "sweep cap"),
-    "init": ("attrsim", str, f"score initialisation, one of: {', '.join(INIT_MODES)}"),
     "split": (0.1, float, "probe fraction"),
     "reps": (10, int, "repetitions"),
     "seed": (12345, int, "master seed"),
@@ -171,8 +170,7 @@ def _write_id_map(opts: dict, graph) -> None:
 def _experiment_config(opts: dict) -> ExperimentConfig:
     return ExperimentConfig(
         propagation=PropagationConfig(c=opts["c"], tolerance=opts["tol"],
-                                      max_iterations=opts["max_iter"],
-                                      init_mode=opts["init"]),
+                                      max_iterations=opts["max_iter"]),
         baselines=BaselineConfig(lp_epsilon=opts["lp_epsilon"],
                                  katz_beta=opts["katz_beta"]),
         split_fraction=opts["split"],
@@ -195,9 +193,10 @@ def _write_text(path, text: str) -> None:
 
 
 def _ranked_nonedges(graph, values: np.ndarray, k: int):
-    # the k best non-edges by descending score, ties by (i, j)
-    ii, jj = np.nonzero(nonedge_mask(graph.n, graph.edges))
-    neg = -values[ii, jj]
+    # the k best non-edges by descending score, ties by (i, j), which is the
+    # order of the flat index i*n + j
+    flat = np.flatnonzero(nonedge_mask(graph.n, graph.edges))
+    neg = -values.take(flat)
     k = min(k, len(neg))
     if 0 < k < len(neg):
         # keep every pair scoring at or above the k-th best, so ties at the
@@ -205,9 +204,10 @@ def _ranked_nonedges(graph, values: np.ndarray, k: int):
         # partition and lexsort, and compares false here, so it stays
         cut = np.partition(neg, k - 1)[k - 1]
         top = ~(neg > cut)
-        ii, jj, neg = ii[top], jj[top], neg[top]
-    order = np.lexsort((jj, ii, neg))[:k]
-    return ii[order], jj[order], -neg[order]
+        flat, neg = flat[top], neg[top]
+    order = np.lexsort((flat, neg))[:k]
+    ii, jj = np.divmod(flat[order], graph.n)
+    return ii, jj, -neg[order]
 
 
 def cmd_predict(opts: dict) -> int:
@@ -290,13 +290,12 @@ def cmd_generate(opts: dict) -> int:
 # command -> (handler, help, option keys in help order)
 _COMMANDS = {
     "predict": (cmd_predict, "rank non-edges of a graph by link score",
-                ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "init",
-                 "top_k", "dump_sim", "dump_scores", "id_map", "one_based",
-                 "lp_epsilon", "katz_beta")),
+                ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "top_k",
+                 "dump_sim", "dump_scores", "id_map", "one_based", "lp_epsilon", "katz_beta")),
     "evaluate": (cmd_evaluate, "repeated-split AUC comparison of methods",
-                 ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "init",
-                  "split", "reps", "seed", "auc", "auc_samples", "timing", "dataset",
-                  "id_map", "one_based", "lp_epsilon", "katz_beta")),
+                 ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "split",
+                  "reps", "seed", "auc", "auc_samples", "timing", "dataset", "id_map",
+                  "one_based", "lp_epsilon", "katz_beta")),
     "stats": (cmd_stats, "print the network-statistics row",
               ("edges", "attrs", "out", "id_map", "one_based")),
     "generate": (cmd_generate, "write a synthetic attributed graph",

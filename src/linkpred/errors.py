@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and its
-subclasses) -> 2. Non-convergence is not an error; solvers report it via
+subclasses) -> 2. Non-convergence is not an error; the solver reports it via
 ``ScoreMatrix.converged`` and the CLI exits 3 after writing results.
 """
 

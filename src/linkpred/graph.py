@@ -7,7 +7,7 @@ ids; ``#`` starts a comment line. The optional directive ``#nodes N`` pins
 the node count so that graphs with trailing isolated nodes survive a
 save/load round trip; without it, n = 1 + max node id. A comment whose
 first word is ``nodes`` followed by one other word that is not an ASCII
-count is an error.
+count below 2^63 is an error.
 
 Attributes: a header line ``#dense m`` or ``#sparse m`` declares the
 attribute count, then one node per line; a second header is an error.
@@ -211,7 +211,7 @@ def load_edge_list(path, indexing: str = "zero") -> AttributedGraph:
             m = _NODES_DIRECTIVE.match(line)
             if m:
                 count = m.group(1)
-                if not (count.isascii() and count.isdigit()):
+                if not (count.isascii() and count.isdigit()) or int(count) >= 2 ** 63:
                     raise ParseError(f"{path}:{lineno}: invalid node count {count!r}")
                 declared_n = max(declared_n, int(count))
             continue

@@ -1,14 +1,15 @@
-"""Attribute similarity, transmission weights and the fixed-point solvers.
+"""Attribute similarity, transmission weights and the fixed-point solver.
 
 The weighted method's stages pass plain arrays: the n x n cosine similarity
 of the attribute vectors, the sparse per-edge transmission probabilities
 taken from it, and the scores propagated along them to a fixed point.
 
-Two solvers share one sweep and one Jacobi loop: the attribute-weighted
-recursion, in which each edge transmits score in proportion to the
-attribute similarity of its endpoints, and the classic structural-similarity
-recursion (every sweep averages scores over neighbor pairs, damped by the
-attenuation coefficient), which is the weighted one with unit edge weights.
+One solver, ``randwalk_solve``, iterates the attribute-weighted recursion,
+in which each edge transmits score in proportion to the attribute
+similarity of its endpoints. With unit edge weights the same sweep is the
+classic structural-similarity recursion (every sweep averages scores over
+neighbor pairs, damped by the attenuation coefficient); ``matrix_form_step``
+runs it when given the adjacency matrix as the weights.
 
 The weighted sweep updates every off-diagonal pair (a, b) to
 
@@ -18,9 +19,10 @@ with D(a, b) = deg(b)*W(a) + deg(a)*W(b), where w is the per-edge
 transmission weight and W the per-node weight sum. Since the inner weights
 sum to exactly D(a, b), each sweep is c times a convex combination of
 previous scores: iterates stay in [0, 1] and the map contracts with factor
-c, so the fixed point is unique and init-independent. Pairs with D = 0
-(isolated endpoint or all-zero weight sums) score 0; the diagonal is
-pinned to 1.
+c, so the fixed point is unique and does not depend on the start, and an
+iterate whose sweep changed it by delta lies within c/(1-c)*delta of it.
+Pairs with D = 0 (isolated endpoint or all-zero weight sums) score 0; the
+diagonal is pinned to 1.
 
 In matrix form a sweep is c * (W S A + A S W) / D. It runs as two sparse
 products, W S and A (W S)^T, then one fused pass over square tiles of the
@@ -50,8 +52,6 @@ from .graph import AttributedGraph
 
 logger = logging.getLogger(__name__)
 
-INIT_MODES = ("identity", "attrsim")
-
 # Edge of the square tiles the sweep works on; 128 and 256 run fastest at
 # n = 3000, 512 is slower.
 _TILE = 256
@@ -59,12 +59,11 @@ _TILE = 256
 
 @dataclass
 class PropagationConfig:
-    """Solver knobs: damping, stop rule, and score initialization."""
+    """Solver knobs: damping and stop rule."""
 
     c: float = 0.8
     tolerance: float = 1e-6
     max_iterations: int = 100
-    init_mode: str = "attrsim"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.c < 1.0:
@@ -73,8 +72,6 @@ class PropagationConfig:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.init_mode not in INIT_MODES:
-            raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
 
 
 @dataclass
@@ -199,81 +196,9 @@ class _TiledSweep:
         return float(np.max(tile_deltas, initial=0.0))
 
 
-def _solve(graph: AttributedGraph, edge_prob, start: ScoreMatrix, cfg: PropagationConfig,
-           label: str) -> ScoreMatrix:
-    """Jacobi iteration from ``start.values`` over the nodes that have an edge.
-
-    An isolated node x has deg(x) = 0 and W(x) = 0, so D(x, .) = 0: sweep 1
-    sets x's off-diagonal pairs to 0 and, x being in no neighborhood, no
-    later sweep reads them. So the sweeps run on the subgraph induced by the
-    other nodes. Its relabelling is monotone, so each kept entry sums the
-    same terms in the same order as on the full graph, and values, deltas
-    and sweep count are bitwise those of the full solve.
-
-    ``start.values`` is replaced by its block of nodes with an edge, which
-    frees the n x n start before the sweep allocates its buffers, as long as
-    the caller holds no other reference to that array.
-    """
-    n = graph.n
-    active = np.flatnonzero(graph.degrees)
-    isolated = np.flatnonzero(graph.degrees == 0)
-    logger.info("%s: sweeping %d of %d nodes (%d isolated)", label, active.size, n, isolated.size)
-    # Sweep 1's change on the dropped pairs: the off-diagonal start entries
-    # in isolated rows (0 for the identity start).
-    rows = np.abs(start.values[isolated])
-    rows[np.arange(isolated.size), isolated] = 0.0
-    dropped = float(rows.max(initial=0.0))
-    del rows  # isolated x n; about 4 MB at paper scale
-    scores = start.values = start.values[np.ix_(active, active)]
-    sweep = _TiledSweep(graph.adjacency_matrix()[active][:, active],
-                        edge_prob[active][:, active], cfg.c)
-    # Jacobi iteration over two swapped buffers.
-    nxt = np.empty_like(scores)
-    deltas: list[float] = []
-    converged = False
-    while not converged and len(deltas) < cfg.max_iterations:
-        delta = max(sweep(scores, nxt), dropped)
-        dropped = 0.0
-        deltas.append(delta)
-        scores, nxt = nxt, scores
-        logger.debug("%s sweep %d: delta=%.3e", label, len(deltas), delta)
-        converged = delta < cfg.tolerance
-    del sweep  # its two n' x n' buffers go before the n x n result is allocated
-    values = np.eye(n)
-    values[np.ix_(active, active)] = scores
-    return ScoreMatrix(values=values, converged=converged, deltas=deltas)
-
-
-def simrank_classic(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatrix:
-    """Classic unweighted structural-similarity fixed point.
-
-    Jacobi sweeps of s(a, b) <- c / (deg(a) deg(b)) * sum over neighbor
-    pairs of the previous scores, diagonal pinned to 1, pairs with an
-    empty neighborhood scoring 0. Starts from the identity matrix.
-    ``cfg.init_mode`` does not apply here. This is the weighted sweep with
-    unit edge weights: the numerator becomes 2 A S A and D = 2 deg deg.
-    """
-    if graph.n == 0:
-        raise ValueError("graph must have at least one node")
-    return _solve(graph, graph.adjacency_matrix(), ScoreMatrix(values=np.eye(graph.n)), cfg,
-                  "simrank")
-
-
-def randwalk_init(graph: AttributedGraph, sim: np.ndarray, mode: str) -> ScoreMatrix:
-    """Initial score matrix: identity, or attribute similarity with unit diagonal."""
-    if mode not in INIT_MODES:
-        raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {mode!r}")
-    if mode == "identity":
-        values = np.eye(graph.n)
-    else:
-        values = np.maximum(sim, 0.0)
-        np.fill_diagonal(values, 1.0)
-    return ScoreMatrix(values=values)
-
-
 def matrix_form_step(scores: np.ndarray, graph: AttributedGraph, edge_prob: sp.csr_matrix,
                      c: float) -> np.ndarray:
-    """One sweep of the weighted recursion, computed as the solvers compute it.
+    """One sweep of the weighted recursion, computed as the solver computes it.
 
     ``edge_prob`` holds the per-edge weights (``transmission_weights``, or
     the adjacency matrix for the unweighted recursion). Expects a symmetric
@@ -287,15 +212,50 @@ def matrix_form_step(scores: np.ndarray, graph: AttributedGraph, edge_prob: sp.c
 def randwalk_solve(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatrix:
     """Iterate the attribute-weighted sweep to its fixed point.
 
-    Builds the similarity matrix and transmission weights, initializes per
-    ``cfg.init_mode``, and sweeps until the sup-norm change drops below
-    ``cfg.tolerance`` or ``cfg.max_iterations`` is hit (reported via
-    ``converged``; the last iterate is returned either way).
+    Starts from the attribute similarity, clamped at 0 with a unit diagonal,
+    and sweeps until the sup-norm change drops below ``cfg.tolerance`` or
+    ``cfg.max_iterations`` is hit (reported via ``converged``; the last
+    iterate is returned either way).
+
+    An isolated node x has deg(x) = 0 and W(x) = 0, so D(x, .) = 0: sweep 1
+    sets x's off-diagonal pairs to 0 and, x being in no neighborhood, no
+    later sweep reads them. So the sweeps run on the subgraph induced by the
+    other nodes. Its relabelling is monotone, so each kept entry sums the
+    same terms in the same order as on the full graph, and values, deltas
+    and sweep count are bitwise those of the full solve.
     """
     if graph.n == 0:
         raise ValueError("graph must have at least one node")
+    n = graph.n
     sim = similarity_matrix(graph)
     edge_prob = transmission_weights(graph, sim)
-    start = randwalk_init(graph, sim, cfg.init_mode)
-    del sim  # one n x n array fewer while the solver's buffers are live
-    return _solve(graph, edge_prob, start, cfg, "randwalk")
+    active = np.flatnonzero(graph.degrees)
+    isolated = np.flatnonzero(graph.degrees == 0)
+    logger.info("randwalk: sweeping %d of %d nodes (%d isolated)", active.size, n, isolated.size)
+    # Sweep 1's change on the dropped pairs: the largest off-diagonal start
+    # entry in an isolated row.
+    rows = np.maximum(sim[isolated], 0.0)
+    rows[np.arange(isolated.size), isolated] = 0.0
+    dropped = float(rows.max(initial=0.0))
+    del rows  # isolated x n; about 4 MB at paper scale
+    scores = sim[np.ix_(active, active)]
+    np.maximum(scores, 0.0, out=scores)
+    np.fill_diagonal(scores, 1.0)
+    del sim  # the n x n similarity goes before the sweep allocates its buffers
+    sweep = _TiledSweep(graph.adjacency_matrix()[active][:, active],
+                        edge_prob[active][:, active], cfg.c)
+    # Jacobi iteration over two swapped buffers.
+    nxt = np.empty_like(scores)
+    deltas: list[float] = []
+    converged = False
+    while not converged and len(deltas) < cfg.max_iterations:
+        delta = max(sweep(scores, nxt), dropped)
+        dropped = 0.0
+        deltas.append(delta)
+        scores, nxt = nxt, scores
+        logger.debug("randwalk sweep %d: delta=%.3e", len(deltas), delta)
+        converged = delta < cfg.tolerance
+    del sweep  # its two n' x n' buffers go before the n x n result is allocated
+    values = np.eye(n)
+    values[np.ix_(active, active)] = scores
+    return ScoreMatrix(values=values, converged=converged, deltas=deltas)

@@ -110,6 +110,60 @@ def oracle_full_solve(step, start: np.ndarray, tolerance: float, max_iterations:
     return current, deltas, len(deltas), False
 
 
+def oracle_fixed_point(adjacency: np.ndarray, weights: np.ndarray, c: float) -> np.ndarray:
+    """The exact fixed point of the weighted sweep, by one dense linear solve.
+
+    ``adjacency`` is the dense 0/1 matrix A and ``weights`` the dense
+    per-edge weights w (A itself for the unweighted recursion). Each
+    off-diagonal pair (a, b) gives one equation, straight from the per-pair
+    formula
+
+        s(a, b) = c * sum_{x in N(a), y in N(b)} (w(x,a) + w(y,b)) * s(x, y) / D(a, b)
+
+    with D(a, b) = deg(b) W(a) + deg(a) W(b), s(a, b) = 0 where D = 0, and
+    s(x, x) = 1 moved to the right-hand side. The fixed point is symmetric,
+    so the unknowns are the unordered pairs a < b.
+    """
+    n = len(adjacency)
+    deg = adjacency.sum(axis=1)
+    node_sum = weights.sum(axis=1)
+    rows, cols = np.triu_indices(n, 1)
+    unknown = np.zeros((n, n), dtype=np.int64)
+    unknown[rows, cols] = unknown[cols, rows] = np.arange(rows.size)
+    system = np.eye(rows.size)
+    rhs = np.zeros(rows.size)
+    for eq, (a, b) in enumerate(zip(rows.tolist(), cols.tolist())):
+        denom = deg[b] * node_sum[a] + deg[a] * node_sum[b]
+        if denom <= 0.0:
+            continue
+        xs, ys = np.flatnonzero(adjacency[a]), np.flatnonzero(adjacency[b])
+        coef = c * (weights[xs, a][:, None] + weights[ys, b][None, :]) / denom
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        same = x == y
+        rhs[eq] = coef[same].sum()
+        np.subtract.at(system[eq], unknown[x[~same], y[~same]], coef[~same])
+    solution = np.linalg.solve(system, rhs)
+    out = np.eye(n)
+    out[rows, cols] = out[cols, rows] = solution
+    return out
+
+
+def oracle_ranked_nonedges(graph, values: np.ndarray, k: int):
+    """The k best non-edges by descending score, ties by (i, j), ranked on
+    (i, j) pairs as the CLI ranked them before flat indexing."""
+    mask = np.triu(np.ones((graph.n, graph.n), dtype=bool), 1)
+    mask[graph.edges[:, 0], graph.edges[:, 1]] = False
+    ii, jj = np.nonzero(mask)
+    neg = -values[ii, jj]
+    k = min(k, len(neg))
+    if 0 < k < len(neg):
+        cut = np.partition(neg, k - 1)[k - 1]
+        top = ~(neg > cut)
+        ii, jj, neg = ii[top], jj[top], neg[top]
+    order = np.lexsort((jj, ii, neg))[:k]
+    return ii[order], jj[order], -neg[order]
+
+
 def oracle_local_score(kind: str, adj: list, x: int, y: int) -> float:
     kx, ky = len(adj[x]), len(adj[y])
     z = len(adj[x] & adj[y])

@@ -17,13 +17,16 @@ from linkpred import (ExperimentConfig, PropagationConfig, ScoreMatrix,
                       auc_exact, auc_sampled, generate_planted_attribute_graph,
                       matrix_form_step, randwalk_solve, run_experiment,
                       katz_index, local_index, lp_index, BaselineConfig,
-                      similarity_matrix, simrank_classic, split_probe,
-                      transmission_weights, LOCAL_INDEX_KINDS)
+                      similarity_matrix, split_probe, transmission_weights,
+                      LOCAL_INDEX_KINDS)
 from _helpers import adjacency_sets, make_gnp
-from _oracles import (oracle_auc, oracle_katz_series, oracle_local_matrix,
-                      oracle_lp_matrix, oracle_randwalk_step, oracle_sim_matrix)
+from _oracles import (oracle_auc, oracle_fixed_point, oracle_full_solve, oracle_katz_series,
+                      oracle_local_matrix, oracle_lp_matrix, oracle_randwalk_step,
+                      oracle_sim_matrix)
 
 ATTENUATION = 0.8
+# the a-posteriori bound: an iterate lies within c/(1-c) * its last sweep's change
+BOUND_FACTOR = ATTENUATION / (1.0 - ATTENUATION)
 
 # twenty seeded sparse graphs: sizes 10/30/60, edge prob swept over 0.1..0.3
 GRAPH_SPECS = [((10, 30, 60)[i % 3], 0.1 + 0.2 * (i / 19.0), 1000 + i) for i in range(20)]
@@ -31,26 +34,36 @@ GRAPH_SPECS = [((10, 30, 60)[i % 3], 0.1 + 0.2 * (i / 19.0), 1000 + i) for i in 
 
 @pytest.fixture(scope="module")
 def uniform_runs():
-    """Both solvers at tight tolerance on uniform-attribute graphs (A1/A3)."""
+    """Tight solves on uniform-attribute graphs and the classic recursion's
+    exact fixed point, unit edge weights (A1/A3)."""
     tight = PropagationConfig(c=ATTENUATION, tolerance=1e-12, max_iterations=300)
     runs = []
     start = time.perf_counter()
     for n, p, seed in GRAPH_SPECS:
         graph = make_gnp(n, p, seed, attrs="uniform")
-        runs.append((graph, randwalk_solve(graph, tight), simrank_classic(graph, tight)))
+        adjacency = graph.adjacency_matrix().toarray()
+        runs.append((graph, randwalk_solve(graph, tight),
+                     oracle_fixed_point(adjacency, adjacency, ATTENUATION)))
     elapsed = time.perf_counter() - start
     return runs, elapsed
 
 
 @pytest.fixture(scope="module")
 def random_attr_runs():
-    """Default-tolerance weighted solves from both inits on random attributes (A2/A3)."""
+    """Default-tolerance solves on random attributes, a Jacobi loop from the
+    identity run here, and the exact fixed point from oracle cosines (A2/A3)."""
     runs = []
     for n, p, seed in GRAPH_SPECS:
         graph = make_gnp(n, p, seed, attrs="random", attr_dim=5)
-        attr_init = randwalk_solve(graph, PropagationConfig(c=ATTENUATION, init_mode="attrsim"))
-        id_init = randwalk_solve(graph, PropagationConfig(c=ATTENUATION, init_mode="identity"))
-        runs.append((graph, attr_init, id_init))
+        weights = transmission_weights(graph, similarity_matrix(graph))
+        solution = randwalk_solve(graph, PropagationConfig(c=ATTENUATION))
+        identity, deltas, _, converged = oracle_full_solve(
+            lambda s: matrix_form_step(s, graph, weights, ATTENUATION), np.eye(n), 1e-6, 100)
+        assert converged
+        adjacency = graph.adjacency_matrix().toarray()
+        cosines = np.maximum(oracle_sim_matrix(graph.attributes.tolist()), 0.0)
+        truth = oracle_fixed_point(adjacency, adjacency * cosines, ATTENUATION)
+        runs.append((graph, solution, (identity, deltas), truth))
     return runs
 
 
@@ -58,37 +71,37 @@ def test_a1_reduction_to_classic_fixed_point(uniform_runs):
     runs, elapsed = uniform_runs
     worst = 0.0
     for _, weighted, classic in runs:
-        assert weighted.converged and classic.converged
-        worst = max(worst, float(np.abs(weighted.values - classic.values).max()))
+        assert weighted.converged
+        worst = max(worst, float(np.abs(weighted.values - classic).max()))
     assert worst < 1e-8
     assert elapsed < 30.0
-    print(f"\nA1 PASS: uniform-attribute fixed points match classic recursion, "
-          f"max gap {worst:.2e} over {len(runs)} graphs in {elapsed:.1f}s")
+    print(f"\nA1 PASS: uniform-attribute fixed points match the classic recursion's exact "
+          f"fixed point, max gap {worst:.2e} over {len(runs)} graphs in {elapsed:.1f}s")
 
 
 def test_a2_contraction_and_init_independence(random_attr_runs):
     worst_ratio = 0.0
-    worst_gap = 0.0
-    for _, attr_init, id_init in random_attr_runs:
-        for solution in (attr_init, id_init):
-            deltas = solution.deltas
+    worst_error = 0.0
+    for _, solution, (identity, identity_deltas), truth in random_attr_runs:
+        # the solver from the attribute similarity, and a second start: the identity
+        for values, deltas in ((solution.values, solution.deltas), (identity, identity_deltas)):
             for i in range(1, len(deltas)):
                 assert deltas[i] <= ATTENUATION * deltas[i - 1] + 1e-9
                 if deltas[i - 1] > 0:
                     worst_ratio = max(worst_ratio, deltas[i] / deltas[i - 1])
-        gap = float(np.abs(attr_init.values - id_init.values).max())
-        assert gap <= 10 * 1e-6
-        worst_gap = max(worst_gap, gap)
+            error = float(np.abs(values - truth).max())
+            assert error <= 10 * 1e-6
+            assert error <= BOUND_FACTOR * deltas[-1] * (1.0 + 1e-9)
+            worst_error = max(worst_error, error)
     print(f"\nA2 PASS: sweep-to-sweep contraction (worst ratio {worst_ratio:.3f} <= c={ATTENUATION}), "
-          f"init modes agree to {worst_gap:.2e} (budget 1e-5)")
+          f"both starts within {worst_error:.2e} of the exact fixed point (budget 1e-5, and "
+          f"c/(1-c) times the last change)")
 
 
 def test_a3_bounds_and_exact_symmetry(uniform_runs, random_attr_runs):
-    matrices = []
-    for _, weighted, classic in uniform_runs[0]:
-        matrices.extend([weighted.values, classic.values])
-    for _, attr_init, id_init in random_attr_runs:
-        matrices.extend([attr_init.values, id_init.values])
+    matrices = [weighted.values for _, weighted, _ in uniform_runs[0]]
+    for _, solution, (identity, _), _ in random_attr_runs:
+        matrices.extend([solution.values, identity])
     for values in matrices:
         assert (np.diag(values) == 1.0).all()
         assert values.min() >= 0.0

@@ -14,16 +14,16 @@ import linkpred
 
 PUBLIC_NAMES = (
     "AttributedGraph", "AucResult", "BaselineConfig", "ConfigError", "DataError",
-    "EvalReport", "EvaluationError", "ExperimentConfig", "INIT_MODES",
+    "EvalReport", "EvaluationError", "ExperimentConfig",
     "LOCAL_INDEX_KINDS", "LinkpredError", "METHOD_NAMES", "MethodResult", "NetStatsRow",
     "ParseError", "ProbeSplit", "PropagationConfig", "ScoreMatrix",
     "TIE_TOLERANCE", "assortativity", "auc_exact", "auc_sampled",
     "avg_degree", "canonical_method", "clustering_coefficient", "components",
     "efficiency", "format_report", "format_stats", "generate_planted_attribute_graph",
     "katz_index", "load_attributes", "load_edge_list", "local_index", "lp_index",
-    "matrix_form_step", "randwalk_init", "randwalk_solve", "run_experiment",
+    "matrix_form_step", "randwalk_solve", "run_experiment",
     "save_attributes", "save_edge_list", "score_method", "similarity_matrix",
-    "simrank_classic", "split_probe", "stats_report", "transmission_weights",
+    "split_probe", "stats_report", "transmission_weights",
     "write_id_map",
 )
 

@@ -12,6 +12,7 @@ from linkpred import (METHOD_NAMES, ExperimentConfig, cli, load_attributes, load
 from linkpred.baselines import ALIASES
 from linkpred.cli import main
 from _helpers import graph_from_edges, make_gnp
+from _oracles import oracle_ranked_nonedges
 
 
 @pytest.fixture()
@@ -142,6 +143,21 @@ class TestPredict:
         assert scores.shape == (3, 3)
         assert (np.diag(scores) == 1.0).all()
 
+    @pytest.mark.parametrize("k", [1, 7, 40, 300, 420, 434, 435, 500])
+    def test_ranking_by_flat_index_matches_pair_ranking(self, k):
+        # 5 score levels over 435 non-edges: every cut falls inside a tie;
+        # 15 to 22 NaN scores rank last, and k >= 434 reaches them
+        g = make_gnp(30, 0.0, 0)
+        rng = np.random.default_rng(k)
+        values = rng.integers(0, 5, size=(30, 30)) / 4.0
+        values[np.unravel_index(rng.choice(900, 40, replace=False), values.shape)] = np.nan
+        assert np.isnan(values[np.triu_indices(30, 1)]).sum() >= 15
+        got = cli._ranked_nonedges(g, values, k)
+        expected = oracle_ranked_nonedges(g, values, k)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+
 
 class TestEvaluate:
     def test_report_written_and_deterministic(self, planted_files, tmp_path):
@@ -229,6 +245,16 @@ class TestEvaluate:
         assert main(["evaluate", "--edges", str(edges), "--method", "cn",
                      "--config", str(cfg)]) == 1
 
+    def test_init_is_an_unknown_config_key(self, planted_files, tmp_path, capsys):
+        # the solver has one start, so there is no init option to set
+        edges, attrs = planted_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("init=identity\n")
+        assert main(["evaluate", "--edges", str(edges), "--attrs", str(attrs),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("linkpred: configuration error: "
+                                           "unknown config key 'init'\n")
+
 
     def test_lp_epsilon_and_katz_beta_flags(self, planted_files, capsys):
         edges, _ = planted_files
@@ -266,6 +292,9 @@ class TestStats:
 
     @pytest.mark.parametrize("edges_text,attrs_text,bad", [
         pytest.param("#nodes 1_0\n0 1\n", None, "e.txt:1:", id="nodes-count"),
+        pytest.param("#nodes 99999999999999999999\n0 1\n", None,
+                     "e.txt:1: invalid node count '99999999999999999999'",
+                     id="nodes-beyond-int64"),
         pytest.param("0 1\n", "#dense 2\n#sparse 3\n0 1 1\n", "a.txt:2:", id="second-header"),
     ])
     def test_malformed_directive_is_data_error(self, tmp_path, capsys, edges_text, attrs_text,
@@ -443,7 +472,7 @@ class TestOptions:
     @pytest.mark.parametrize("argv", [
         ["predict", "--method", "randwalk", "--c", "5", "--attrs", "@attrs.txt"],
         ["evaluate", "--auc", "bogus", "--attrs", "@attrs.txt"],
-        ["evaluate", "--init", "bogus", "--attrs", "@attrs.txt"],
+        ["evaluate", "--config", "@init.cfg", "--attrs", "@attrs.txt"],
         ["evaluate", "--split", "1.5", "--attrs", "@attrs.txt"],
         ["predict", "--method", "randwalk"],
         ["evaluate", "--method", "cn", "--reps", "0"],
@@ -457,11 +486,13 @@ class TestOptions:
     ])
     def test_bad_value_fails_before_any_file_is_written(self, triangle_minus_edge, tmp_path,
                                                          argv):
+        (tmp_path / "init.cfg").write_text("init=identity\n")  # a key that is gone
         if argv[0] != "generate":
             argv = argv + ["--edges", "@edges.txt", "--id-map", "@m.csv"]
         argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
         assert main(argv) == 1
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["attrs.txt", "edges.txt"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["attrs.txt", "edges.txt",
+                                                                   "init.cfg"]
 
     def test_readme_tour_runs_and_prints_its_stats_row(self, tmp_path, monkeypatch, capsys):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -63,6 +63,8 @@ class TestLoadEdgeList:
         pytest.param("x", id="word"),
         pytest.param("-3", id="negative"),
         pytest.param("\u0661\u0660", id="arabic-indic-digits"),
+        pytest.param("9223372036854775808", id="2^63"),
+        pytest.param("99999999999999999999", id="beyond-int64"),
     ])
     def test_malformed_nodes_directive(self, tmp_path, count):
         path = _write(tmp_path, "e.txt", f"# graph\n#nodes {count}\n0 1\n")

@@ -6,16 +6,28 @@ import numpy as np
 import pytest
 
 from linkpred import (AttributedGraph, ConfigError, PropagationConfig, matrix_form_step,
-                      randwalk_init, randwalk_solve, similarity_matrix, simrank_classic,
-                      transmission_weights)
+                      randwalk_solve, similarity_matrix, transmission_weights)
 from _helpers import adjacency_sets, make_gnp
-from _oracles import (oracle_dense_sweep, oracle_full_solve, oracle_randwalk_step,
-                      oracle_sim_matrix, oracle_simrank, oracle_simrank_step)
+from _oracles import (oracle_dense_sweep, oracle_fixed_point, oracle_full_solve,
+                      oracle_randwalk_step, oracle_sim_matrix, oracle_simrank,
+                      oracle_simrank_step)
 
 
 def _weighted_setup(graph):
     sim = similarity_matrix(graph)
     return sim, transmission_weights(graph, sim)
+
+
+def _start(sim: np.ndarray) -> np.ndarray:
+    # the solver's start: the similarity clamped at 0, with a unit diagonal
+    start = np.maximum(sim, 0.0)
+    np.fill_diagonal(start, 1.0)
+    return start
+
+
+def _truth(graph) -> np.ndarray:
+    _, weights = _weighted_setup(graph)
+    return oracle_fixed_point(graph.adjacency_matrix().toarray(), weights.toarray(), 0.8)
 
 
 def _sparse_graph(n: int, seed: int) -> AttributedGraph:
@@ -47,7 +59,7 @@ def _symmetric_scores(n: int, seed: int) -> np.ndarray:
 class TestPropagationConfig:
     @pytest.mark.parametrize("kwargs", [
         {"c": 0.0}, {"c": 1.0}, {"c": -0.2}, {"tolerance": 0.0},
-        {"max_iterations": 0}, {"init_mode": "adjacency"},
+        {"max_iterations": 0}, {"c": np.nan},
         {"tolerance": np.nan}, {"tolerance": np.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -59,71 +71,84 @@ class TestPropagationConfig:
         assert cfg.c == 0.8
         assert cfg.tolerance == 1e-6
         assert cfg.max_iterations == 100
-        assert cfg.init_mode == "attrsim"
 
 
 class TestSimrankClassic:
+    """The classic unweighted recursion: with uniform attributes every edge
+    weight is 1, so ``randwalk_solve`` iterates it."""
+
     def test_two_isolated_nodes(self):
-        g = AttributedGraph.build(2, [])
-        scores = simrank_classic(g, PropagationConfig())
+        g = AttributedGraph.build(2, [], attributes=np.ones((2, 1)))
+        scores = randwalk_solve(g, PropagationConfig())
         assert scores.values[0, 1] == 0.0
         assert scores.values[0, 0] == 1.0
         assert scores.values[1, 1] == 1.0
 
-    def test_single_edge_fixed_point_is_zero(self):
-        # s(0,1) <- c * s(1,0) starting from the identity stays at 0
-        g = AttributedGraph.build(2, [(0, 1)])
-        scores = simrank_classic(g, PropagationConfig(c=0.8))
-        assert scores.values[0, 1] == 0.0
-        assert scores.converged
-
     @pytest.mark.parametrize("seed,n,p", [(0, 8, 0.4), (1, 12, 0.3), (2, 15, 0.25)])
     def test_matches_naive_oracle(self, seed, n, p):
-        g = make_gnp(n, p, seed)
+        g = make_gnp(n, p, seed, attrs="uniform")
         cfg = PropagationConfig(tolerance=1e-10, max_iterations=200)
-        fast = simrank_classic(g, cfg)
+        fast = randwalk_solve(g, cfg)
         slow = oracle_simrank(adjacency_sets(g), cfg.c, 10 * fast.iterations)
         assert np.abs(fast.values - slow).max() < 1e-8
 
     def test_star_matches_oracle(self):
-        g = AttributedGraph.build(5, [(0, i) for i in range(1, 5)])
+        g = AttributedGraph.build(5, [(0, i) for i in range(1, 5)], attributes=np.ones((5, 1)))
         cfg = PropagationConfig(tolerance=1e-10, max_iterations=200)
-        fast = simrank_classic(g, cfg)
+        fast = randwalk_solve(g, cfg)
         slow = oracle_simrank(adjacency_sets(g), cfg.c, 10 * fast.iterations)
         assert np.abs(fast.values - slow).max() < 1e-8
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one node"):
-            simrank_classic(AttributedGraph.build(0, []), PropagationConfig())
+            randwalk_solve(AttributedGraph.build(0, [], attributes=np.ones((0, 1))),
+                           PropagationConfig())
 
 
 class TestRandwalkInit:
-    def test_identity_mode(self):
-        g = make_gnp(3, 0.5, 0, attrs="random")
-        sim, _ = _weighted_setup(g)
-        assert np.array_equal(randwalk_init(g, sim, "identity").values, np.eye(3))
+    """The solver starts from the similarity clamped at 0, with a unit
+    diagonal: its first iterate is, bitwise, one sweep of the start built
+    here, and that sweep is the dense oracle's."""
+
+    @staticmethod
+    def _assert_first_sweep_from(g, start):
+        _, weights = _weighted_setup(g)
+        first = randwalk_solve(g, PropagationConfig(max_iterations=1))
+        swept = matrix_form_step(start, g, weights, 0.8)
+        assert np.array_equal(first.values, swept)
+        assert first.deltas == [np.abs(swept - start).max()]
+        dense = oracle_dense_sweep(start, g.adjacency_matrix().toarray(), weights.toarray(), 0.8)
+        assert np.abs(swept - dense).max() < 1e-15
 
     def test_attrsim_uniform_is_all_ones(self):
-        g = make_gnp(4, 0.5, 0, attrs="uniform")
-        sim, _ = _weighted_setup(g)
-        assert (randwalk_init(g, sim, "attrsim").values == 1.0).all()
+        self._assert_first_sweep_from(make_gnp(4, 0.5, 0, attrs="uniform"), np.ones((4, 4)))
 
     def test_attrsim_orthogonal_is_identity(self):
         g = AttributedGraph.build(3, [(0, 1), (1, 2)], attributes=np.eye(3))
-        sim, _ = _weighted_setup(g)
-        assert np.array_equal(randwalk_init(g, sim, "attrsim").values, np.eye(3))
+        self._assert_first_sweep_from(g, np.eye(3))
 
     def test_attrsim_pins_diagonal_for_zero_rows(self):
-        g = AttributedGraph.build(2, [(0, 1)],
-                                  attributes=np.array([[0., 0.], [1., 0.]]))
-        sim, _ = _weighted_setup(g)
-        assert randwalk_init(g, sim, "attrsim").values[0, 0] == 1.0
+        # node 0 has an all-zero row: similarity 0 to everything, itself included
+        g = AttributedGraph.build(3, [(0, 1), (1, 2)],
+                                  attributes=np.array([[0., 0.], [1., 0.], [1., 1.]]))
+        start = np.eye(3)
+        start[1, 2] = start[2, 1] = similarity_matrix(g)[1, 2]
+        self._assert_first_sweep_from(g, start)
+
+    def test_attrsim_clamps_negative_similarity(self):
+        # cos(0, 1) < 0 and cos(0, 3) > 0; the start holds 0 and the cosine
+        g = AttributedGraph.build(4, [(0, 1), (1, 2), (2, 3)],
+                                  attributes=np.array([[1., 0.], [-1., 1.], [0., 1.], [1., 1.]]))
+        sim = similarity_matrix(g)
+        assert sim[0, 1] < 0.0 < sim[0, 3]
+        start = _start(sim)
+        assert start[0, 1] == 0.0 and start[0, 3] == sim[0, 3]
+        self._assert_first_sweep_from(g, start)
 
     def test_unknown_mode(self):
-        g = make_gnp(3, 0.5, 0, attrs="uniform")
-        sim, _ = _weighted_setup(g)
-        with pytest.raises(ConfigError):
-            randwalk_init(g, sim, "zeros")
+        # one start and no init mode: the keyword itself is unknown
+        with pytest.raises(TypeError):
+            PropagationConfig(init_mode="attrsim")
 
 
 class TestRandwalkStep:
@@ -212,7 +237,7 @@ class TestMultiTileSweep:
         scores = randwalk_solve(g, PropagationConfig())
         adjacency = g.adjacency_matrix().toarray()
         prob = weights.toarray()
-        current = randwalk_init(g, sim, "attrsim").values
+        current = _start(sim)
         expected = []
         for _ in range(scores.iterations):
             nxt = oracle_dense_sweep(current, adjacency, prob, 0.8)
@@ -223,16 +248,16 @@ class TestMultiTileSweep:
         assert np.array_equal(scores.values, scores.values.T)
 
     def test_simrank_runs_the_same_sweep(self):
+        # unit edge weights: the classic unweighted recursion, from the identity
         g = _sparse_graph(300, seed=9)
-        cfg = PropagationConfig(tolerance=1e-14, max_iterations=6)
-        scores = simrank_classic(g, cfg)
-        adjacency = g.adjacency_matrix().toarray()
-        current = np.eye(g.n)
-        for _ in range(cfg.max_iterations):
-            current = oracle_dense_sweep(current, adjacency, adjacency, cfg.c)
-        assert scores.iterations == cfg.max_iterations
-        assert np.abs(scores.values - current).max() < 1e-12
-        assert np.array_equal(scores.values, scores.values.T)
+        adjacency = g.adjacency_matrix()
+        dense = adjacency.toarray()
+        swept = expected = np.eye(g.n)
+        for _ in range(6):
+            swept = matrix_form_step(swept, g, adjacency, 0.8)
+            expected = oracle_dense_sweep(expected, dense, dense, 0.8)
+        assert np.abs(swept - expected).max() < 1e-12
+        assert np.array_equal(swept, swept.T)
 
 
 def _isolated_node_graph(kind: str) -> AttributedGraph:
@@ -250,24 +275,24 @@ def _isolated_node_graph(kind: str) -> AttributedGraph:
 
 
 class TestSweepsOnlyNodesWithEdges:
-    """The solvers sweep the nodes that have an edge; the result is a full-graph solve's."""
+    """The solver sweeps the nodes that have an edge; the result is a full-graph solve's."""
 
     @pytest.mark.parametrize("kind,max_iterations", [
         ("multi-tile", 100), ("edgeless", 100), ("one-isolated", 1)])
-    @pytest.mark.parametrize("solver", ["randwalk-identity", "randwalk-attrsim", "simrank"])
+    @pytest.mark.parametrize("solver", ["randwalk-attrsim", "simrank"])
     def test_equals_full_solve_bitwise(self, kind, max_iterations, solver):
         g = _isolated_node_graph(kind)
+        cfg = PropagationConfig(max_iterations=max_iterations)
         if solver == "simrank":
-            cfg = PropagationConfig(max_iterations=max_iterations)
-            fast = simrank_classic(g, cfg)
+            # uniform attributes: the start is all ones and the full solve
+            # sweeps with the adjacency matrix as its unit edge weights
+            g = AttributedGraph.build(g.n, g.edges, attributes=np.ones((g.n, 1)))
             weights = g.adjacency_matrix()
-            start = np.eye(g.n)
+            start = np.ones((g.n, g.n))
         else:
-            cfg = PropagationConfig(max_iterations=max_iterations,
-                                    init_mode=solver.removeprefix("randwalk-"))
-            fast = randwalk_solve(g, cfg)
             sim, weights = _weighted_setup(g)
-            start = randwalk_init(g, sim, cfg.init_mode).values
+            start = _start(sim)
+        fast = randwalk_solve(g, cfg)
         values, deltas, iterations, converged = oracle_full_solve(
             lambda s: matrix_form_step(s, g, weights, cfg.c),
             start, cfg.tolerance, cfg.max_iterations)
@@ -282,7 +307,7 @@ class TestSweepsOnlyNodesWithEdges:
 
     def test_edgeless_graph_first_delta_is_largest_start_entry(self):
         g = _isolated_node_graph("edgeless")
-        start = randwalk_init(g, similarity_matrix(g), "attrsim").values
+        start = _start(similarity_matrix(g))
         scores = randwalk_solve(g, PropagationConfig())
         assert np.array_equal(scores.values, np.eye(g.n))
         assert scores.deltas == [start[~np.eye(g.n, dtype=bool)].max(), 0.0]
@@ -291,7 +316,7 @@ class TestSweepsOnlyNodesWithEdges:
         # the only change larger than the swept pairs' is start[4, 0] going to 0
         g = _isolated_node_graph("one-isolated")
         sim, weights = _weighted_setup(g)
-        start = randwalk_init(g, sim, "attrsim").values
+        start = _start(sim)
         swept = matrix_form_step(start, g, weights, 0.8)
         kept = np.abs(swept - start)[:4, :4].max()
         scores = randwalk_solve(g, PropagationConfig(max_iterations=1))
@@ -303,28 +328,26 @@ class TestSweepsOnlyNodesWithEdges:
         g = AttributedGraph.build(5, [(0, 1), (1, 2)], attributes=np.ones((5, 2)))
         with caplog.at_level(logging.INFO, logger="linkpred"):
             randwalk_solve(g, PropagationConfig())
-            simrank_classic(g, PropagationConfig())
         assert "randwalk: sweeping 3 of 5 nodes (2 isolated)" in caplog.messages
-        assert "simrank: sweeping 3 of 5 nodes (2 isolated)" in caplog.messages
 
 
 class TestRandwalkSolve:
-    @pytest.mark.parametrize("init_mode", ["identity", "attrsim"])
-    def test_single_edge_decays_to_zero(self, init_mode):
+    def test_single_edge_decays_to_zero(self):
         attrs = np.array([[1.0, 1.0], [1.0, 0.5]])  # sim(0,1) = p > 0
         g = AttributedGraph.build(2, [(0, 1)], attributes=attrs)
-        cfg = PropagationConfig(init_mode=init_mode)
-        scores = randwalk_solve(g, cfg)
+        scores = randwalk_solve(g, PropagationConfig())
         assert scores.converged
         assert scores.values[0, 1] < 1e-5
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_uniform_attributes_match_simrank(self, seed):
+        # the classic recursion's exact fixed point: unit edge weights
         g = make_gnp(15, 0.25, seed, attrs="uniform")
         cfg = PropagationConfig(tolerance=1e-12, max_iterations=300)
         weighted = randwalk_solve(g, cfg)
-        classic = simrank_classic(g, cfg)
-        assert np.abs(weighted.values - classic.values).max() < 1e-8
+        adjacency = g.adjacency_matrix().toarray()
+        classic = oracle_fixed_point(adjacency, adjacency, cfg.c)
+        assert np.abs(weighted.values - classic).max() < 1e-8
 
     def test_orthogonal_attributes_zero_offdiagonal(self):
         g = AttributedGraph.build(4, [(0, 1), (1, 2), (2, 3)], attributes=np.eye(4))
@@ -351,10 +374,15 @@ class TestRandwalkSolve:
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_init_modes_share_fixed_point(self, seed):
+        # the solver's start and the identity, iterated here, meet at the truth
         g = make_gnp(18, 0.2, seed, attrs="random")
-        a = randwalk_solve(g, PropagationConfig(init_mode="identity"))
-        b = randwalk_solve(g, PropagationConfig(init_mode="attrsim"))
-        assert np.abs(a.values - b.values).max() <= 10 * 1e-6
+        _, weights = _weighted_setup(g)
+        a = randwalk_solve(g, PropagationConfig())
+        b = oracle_full_solve(lambda s: matrix_form_step(s, g, weights, 0.8), np.eye(g.n),
+                              1e-6, 100)[0]
+        assert np.abs(a.values - b).max() <= 10 * 1e-6
+        truth = _truth(g)
+        assert max(np.abs(a.values - truth).max(), np.abs(b - truth).max()) < 4e-6
 
     def test_nonconvergence_reported(self):
         g = make_gnp(15, 0.3, 8, attrs="random")
@@ -366,3 +394,25 @@ class TestRandwalkSolve:
     def test_requires_attributes(self):
         with pytest.raises(ConfigError, match="no attributes"):
             randwalk_solve(make_gnp(5, 0.5, 0), PropagationConfig())
+
+
+class TestFixedPointBound:
+    """A sweep that changed the iterate by delta leaves it within
+    c/(1-c)*delta of the exact fixed point; the bound is attained."""
+
+    def test_every_iterate_within_bound_of_truth(self):
+        # one edge beside isolated nodes, one of them with an all-zero row:
+        # s(0, 1) = c^k cos(0, 1) after k sweeps, on the bound exactly
+        single = AttributedGraph.build(
+            5, [(0, 1)], attributes=np.array([[1., 1.], [1., .5], [0., 0.], [1., 0.], [.2, 1.]]))
+        worst = 0.0
+        for g in (make_gnp(12, 0.3, 11, attrs="random"), _sparse_graph(40, seed=13), single):
+            truth = _truth(g)
+            for k in range(1, 41):
+                scores = randwalk_solve(g, PropagationConfig(tolerance=1e-13, max_iterations=k))
+                assert scores.iterations == k
+                # c/(1-c) = 4 at the default c = 0.8
+                ratio = np.abs(scores.values - truth).max() / (4.0 * scores.final_delta)
+                assert ratio <= 1.0 + 1e-9, (g.n, k)
+                worst = max(worst, ratio)
+        assert worst > 1.0 - 1e-9
