@@ -8,8 +8,10 @@ formula is its entry in ``_LOCAL_FORMULAS``), plus two path-based ones:
     katz      sum_{l>=1} beta^l (A^l)  =  (I - beta A)^{-1} - I,
               by a Cholesky inverse per connected component
 
-Zero denominators (isolated endpoints) score 0. All outputs are symmetric
-and non-negative with a zero diagonal.
+Every local numerator but pa's is a multiple of z, so those seven indices
+are evaluated on the nonzeros of A^2 only. Zero denominators (isolated
+endpoints) score 0. All outputs are symmetric and non-negative with a zero
+diagonal.
 """
 
 from __future__ import annotations
@@ -64,17 +66,36 @@ def canonical_name(name: str) -> str:
 
 
 def local_index(kind: str, graph: AttributedGraph) -> ScoreMatrix:
-    """Score every node pair with one of the eight local indices."""
-    formula = _LOCAL_FORMULAS.get(canonical_name(kind))
+    """Score every node pair with one of the eight local indices.
+
+    Every numerator but pa's is a multiple of z, so those kinds score 0 off
+    the nonzeros of A^2: their formula is evaluated on those entries only,
+    with the degrees of each entry's row and column, and scattered into a
+    zero array. pa is evaluated on all pairs.
+    """
+    key = canonical_name(kind)
+    formula = _LOCAL_FORMULAS.get(key)
     if formula is None:
         raise ConfigError(f"unknown local index {kind!r}; valid: {', '.join(LOCAL_INDEX_KINDS)}")
-    adjacency = graph.adjacency_matrix()
     deg = graph.degrees.astype(np.float64)
-    numerator, denominator = formula((adjacency @ adjacency).toarray(), deg[:, None], deg)
     values = np.zeros((graph.n, graph.n))
-    np.divide(numerator, denominator, out=values, where=denominator > 0)
+    if key == "pa":
+        _evaluate(formula, None, deg[:, None], deg, out=values)
+    else:
+        adjacency = graph.adjacency_matrix()
+        two_hop = (adjacency @ adjacency).tocoo()
+        rows, cols = two_hop.row, two_hop.col
+        values[rows, cols] = _evaluate(formula, two_hop.data, deg[rows], deg[cols],
+                                       out=np.zeros(two_hop.nnz))
     np.fill_diagonal(values, 0.0)
     return ScoreMatrix(values=values)
+
+
+def _evaluate(formula, z, kx, ky, out: np.ndarray) -> np.ndarray:
+    """Write numerator / denominator of ``formula`` into the zeros ``out``
+    where the denominator is positive; return ``out``."""
+    numerator, denominator = formula(z, kx, ky)
+    return np.divide(numerator, denominator, out=out, where=denominator > 0)
 
 
 def lp_index(graph: AttributedGraph, cfg: BaselineConfig) -> ScoreMatrix:

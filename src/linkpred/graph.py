@@ -201,11 +201,13 @@ def load_edge_list(path, indexing: str = "zero") -> AttributedGraph:
 
     Duplicate edges collapse to one; self-loops are dropped (logged with a
     count). Node ids are normalized to 0-based indices; with gaps in the id
-    range the skipped ids become isolated nodes.
+    range the skipped ids become isolated nodes. A node count that numpy or
+    the machine's memory cannot hold is a ``ParseError`` naming the line
+    that set it: the ``#nodes`` directive or the line with the largest id.
     """
     indexing = _check_indexing(indexing)
     pairs = []
-    declared_n = 0
+    n, n_line = 0, 0  # the node count so far and the line that set it
     for lineno, line in _read_lines(path, ParseError):
         if line.startswith("#"):
             m = _NODES_DIRECTIVE.match(line)
@@ -213,19 +215,26 @@ def load_edge_list(path, indexing: str = "zero") -> AttributedGraph:
                 count = m.group(1)
                 if not (count.isascii() and count.isdigit()) or int(count) >= 2 ** 63:
                     raise ParseError(f"{path}:{lineno}: invalid node count {count!r}")
-                declared_n = max(declared_n, int(count))
+                if int(count) > n:
+                    n, n_line = int(count), lineno
             continue
         tokens = _ascii_tokens(line, path, lineno)
         if len(tokens) != 2:
             raise ParseError(f"{path}:{lineno}: expected two node ids, got {line!r}")
-        pairs.append((_parse_node_id(tokens[0], indexing, path, lineno),
-                      _parse_node_id(tokens[1], indexing, path, lineno)))
+        u = _parse_node_id(tokens[0], indexing, path, lineno)
+        v = _parse_node_id(tokens[1], indexing, path, lineno)
+        if u >= n or v >= n:
+            n, n_line = max(u, v) + 1, lineno
+        pairs.append((u, v))
     ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     self_loops = int(np.count_nonzero(ids[:, 0] == ids[:, 1]))
     if self_loops:
         logger.warning("%s: dropped %d self-loop(s)", path, self_loops)
-    n = max(declared_n, int(ids.max(initial=-1)) + 1)
-    return AttributedGraph.build(n, ids)
+    try:
+        return AttributedGraph.build(n, ids)
+    except (ValueError, MemoryError) as exc:
+        # n-length arrays past numpy's size limit or the machine's memory
+        raise ParseError(f"{path}:{n_line}: cannot hold {n} nodes: {exc}") from None
 
 
 def save_edge_list(graph: AttributedGraph, path) -> None:

@@ -33,10 +33,11 @@ by construction, with no mirror pass.
 
 Sweeps run only over the n' nodes that have an edge. An isolated node's
 pairs have D = 0 and it is in no neighborhood, so they score 0 without
-being swept, and the result is scattered into an n x n identity. A solve
-holds four dense n' x n' arrays (two swapped iterates, D/c, and the
-transposed operand of the second product) plus the two sparse-product
-outputs of the sweep.
+being swept, and the result is scattered into an n x n identity. At its
+peak a solve holds three and a half dense n' x n' arrays: the two swapped
+iterates, the upper tiles of D/c, and one sparse-product output at a time.
+The transposed operand of the second product is built in the next-iterate
+buffer, which the tile pass then overwrites.
 """
 
 from __future__ import annotations
@@ -145,33 +146,39 @@ class _TiledSweep:
     (I, J) then takes ``cross[I, J] + cross[J, I]^T`` over ``D[I, J] / c``
     and writes it to both (I, J) and (J, I), so every output is bitwise
     symmetric without a separate mirror pass. The transposed operand of the
-    second product lives in a buffer allocated once per solve.
+    second product is built in ``out``, the next-iterate buffer: nothing
+    reads ``out`` before the tile pass writes it, and the tile pass reads
+    only ``cross``, D/c and ``scores``. D/c is symmetric and read on the
+    upper tiles only, so only those are kept, in one allocation.
     """
 
     def __init__(self, adjacency, edge_prob, c: float) -> None:
         n = adjacency.shape[0]
         self.adjacency = adjacency
         self.edge_prob = edge_prob
+        self.spans = [slice(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
+        tile = np.empty((min(n, _TILE), min(n, _TILE)))
         # D (module docstring) from the row sums deg of A and W of the edge
-        # weights; symmetric by commutativity. Sweeps divide by D / c, inf
-        # where D = 0 so those pairs score 0, rather than multiply by c / D,
-        # which overflows to inf when D is subnormal (a near-zero attribute
-        # similarity).
+        # weights, each entry as weight[i]*deg[j] + deg[i]*weight[j]. Sweeps
+        # divide by D / c, inf where D = 0 so those pairs score 0, rather than
+        # multiply by c / D, which overflows to inf when D is subnormal (a
+        # near-zero attribute similarity).
         deg = np.asarray(adjacency.sum(axis=1)).ravel()
         weight = np.asarray(edge_prob.sum(axis=1)).ravel()
-        self.d_over_c = np.multiply.outer(weight, deg) + np.multiply.outer(deg, weight)
-        self.d_over_c /= c
-        self.d_over_c[self.d_over_c == 0.0] = np.inf
-        self.transposed = np.empty((n, n))
-        self.tile = np.empty((min(n, _TILE), min(n, _TILE)))
-        self.spans = [slice(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
-
-    def _transposed_product(self, scores: np.ndarray) -> np.ndarray:
-        ws = self.edge_prob @ scores
-        for rows in self.spans:
-            for cols in self.spans:
-                self.transposed[rows, cols] = ws[cols, rows].T
-        return self.transposed
+        upper = [(rows, cols) for first, rows in enumerate(self.spans)
+                 for cols in self.spans[first:]]
+        shapes = [(rows.stop - rows.start, cols.stop - cols.start) for rows, cols in upper]
+        store = np.empty(sum(h * w for h, w in shapes))
+        # per upper tile pair: its spans, its D/c tile and the scratch view
+        # of its shape
+        self.tiles = []
+        for (rows, cols), (h, w) in zip(upper, shapes):
+            d_over_c, store = store[:h * w].reshape(h, w), store[h * w:]
+            np.multiply.outer(weight[rows], deg[cols], out=d_over_c)
+            d_over_c += np.multiply.outer(deg[rows], weight[cols], out=tile[:h, :w])
+            d_over_c /= c
+            d_over_c[d_over_c == 0.0] = np.inf
+            self.tiles.append((rows, cols, d_over_c, tile[:h, :w]))
 
     def __call__(self, scores: np.ndarray, out: np.ndarray) -> float:
         """Write the sweep of ``scores`` into ``out``; return max |out - scores|.
@@ -179,20 +186,23 @@ class _TiledSweep:
         The change is read on the upper tiles only, which covers every entry
         when ``scores`` is symmetric, as every solver iterate is.
         """
-        cross = self.adjacency @ self._transposed_product(scores)
+        ws = self.edge_prob @ scores
+        for rows in self.spans:
+            for cols in self.spans:
+                out[rows, cols] = ws[cols, rows].T
+        del ws  # freed before cross is allocated, so one product output lives at a time
+        cross = self.adjacency @ out
         tile_deltas = []
-        for first, rows in enumerate(self.spans):
-            for cols in self.spans[first:]:
-                blk = self.tile[:rows.stop - rows.start, :cols.stop - cols.start]
-                np.add(cross[rows, cols], cross[cols, rows].T, out=blk)
-                blk /= self.d_over_c[rows, cols]
-                if rows == cols:
-                    np.fill_diagonal(blk, 1.0)
-                else:
-                    out[cols, rows] = blk.T
-                out[rows, cols] = blk
-                blk -= scores[rows, cols]
-                tile_deltas.append(np.abs(blk, out=blk).max())
+        for rows, cols, d_over_c, blk in self.tiles:
+            np.add(cross[rows, cols], cross[cols, rows].T, out=blk)
+            blk /= d_over_c
+            if rows == cols:
+                np.fill_diagonal(blk, 1.0)
+            else:
+                out[cols, rows] = blk.T
+            out[rows, cols] = blk
+            blk -= scores[rows, cols]
+            tile_deltas.append(np.abs(blk, out=blk).max())
         return float(np.max(tile_deltas, initial=0.0))
 
 
@@ -255,7 +265,7 @@ def randwalk_solve(graph: AttributedGraph, cfg: PropagationConfig) -> ScoreMatri
         scores, nxt = nxt, scores
         logger.debug("randwalk sweep %d: delta=%.3e", len(deltas), delta)
         converged = delta < cfg.tolerance
-    del sweep  # its two n' x n' buffers go before the n x n result is allocated
+    del sweep  # D/c, half an n' x n' array, goes before the n x n result is allocated
     values = np.eye(n)
     values[np.ix_(active, active)] = scores
     return ScoreMatrix(values=values, converged=converged, deltas=deltas)

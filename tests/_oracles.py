@@ -197,6 +197,23 @@ def oracle_local_matrix(kind: str, adj: list) -> np.ndarray:
     return out
 
 
+def oracle_dense_local(formula, adjacency: np.ndarray) -> np.ndarray:
+    """A local index evaluated on every pair at once by n x n broadcasting.
+
+    ``formula`` maps (z, kx, ky) to (numerator, denominator), as the entries
+    of ``linkpred.baselines._LOCAL_FORMULAS`` do; here z is the dense A^2 of
+    the dense 0/1 ``adjacency``, kx the degrees as a column and ky as a row.
+    Pairs whose denominator is not positive score 0, and so does the
+    diagonal.
+    """
+    deg = adjacency.sum(axis=1)
+    numerator, denominator = formula(adjacency @ adjacency, deg[:, None], deg)
+    values = np.zeros(adjacency.shape)
+    np.divide(numerator, denominator, out=values, where=denominator > 0)
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
 def oracle_lp_matrix(adj: list, eps: float) -> np.ndarray:
     """2-hop counts via set intersections, 3-hop via one-step expansion."""
     n = len(adj)

@@ -7,10 +7,10 @@ import pytest
 
 from linkpred import (AttributedGraph, BaselineConfig, ConfigError, katz_index,
                       local_index, lp_index, LOCAL_INDEX_KINDS)
-from linkpred.baselines import ALIASES
+from linkpred.baselines import _LOCAL_FORMULAS, ALIASES
 from _helpers import adjacency_sets, make_gnp
-from _oracles import (oracle_bfs_distances, oracle_katz_series, oracle_local_matrix,
-                      oracle_lp_matrix)
+from _oracles import (oracle_bfs_distances, oracle_dense_local, oracle_katz_series,
+                      oracle_local_matrix, oracle_lp_matrix)
 
 
 def path3():
@@ -54,6 +54,21 @@ class TestLocalIndices:
         g = make_gnp(25, 0.2, seed)
         expected = oracle_local_matrix(kind, adjacency_sets(g))
         assert np.abs(local_index(kind, g).values - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", LOCAL_INDEX_KINDS)
+    @pytest.mark.parametrize("g", [
+        pytest.param(AttributedGraph.build(9, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]),
+                     id="isolated-nodes"),
+        pytest.param(AttributedGraph.build(7, [(0, i) for i in range(1, 7)]), id="star"),
+        pytest.param(several_components(2), id="several-components"),
+        pytest.param(make_gnp(40, 0.15, 3), id="gnp"),
+        pytest.param(AttributedGraph.build(5, []), id="edgeless"),
+    ])
+    def test_bitwise_equal_to_dense_evaluation(self, kind, g):
+        # the nonzeros of A^2 give every byte, sign bits included, that the
+        # formula evaluated on all n x n pairs gives
+        expected = oracle_dense_local(_LOCAL_FORMULAS[kind], g.adjacency_matrix().toarray())
+        assert local_index(kind, g).values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", LOCAL_INDEX_KINDS)
     def test_isolated_nodes_score_zero(self, kind):

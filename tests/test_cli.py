@@ -295,6 +295,8 @@ class TestStats:
         pytest.param("#nodes 99999999999999999999\n0 1\n", None,
                      "e.txt:1: invalid node count '99999999999999999999'",
                      id="nodes-beyond-int64"),
+        pytest.param("0 1\n#nodes 9223372036854775807\n", None,
+                     "e.txt:2: cannot hold 9223372036854775807 nodes", id="nodes-2^63-1"),
         pytest.param("0 1\n", "#dense 2\n#sparse 3\n0 1 1\n", "a.txt:2:", id="second-header"),
     ])
     def test_malformed_directive_is_data_error(self, tmp_path, capsys, edges_text, attrs_text,

@@ -115,6 +115,29 @@ class TestLoadEdgeList:
         g = load_edge_list(_write(tmp_path, "e.txt", "#nodes 7\n0 1\n"))
         assert g.n == 7
 
+    def test_node_count_beyond_numpy_names_its_line(self, tmp_path):
+        # 2^63 - 1 passes the parser but no numpy array can have that many
+        # entries, so the build fails before allocating
+        path = _write(tmp_path, "e.txt", "0 1\n#nodes 9223372036854775807\n1 2\n")
+        with pytest.raises(ParseError, match=r"e\.txt:2: cannot hold 9223372036854775807 "
+                                             "nodes: Maximum allowed dimension exceeded"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("text,line,n", [
+        pytest.param("#nodes 3\n0 1\n7 2\n1 5\n", 3, 8, id="largest-id"),
+        pytest.param("0 1\n#nodes 12\n7 2\n", 2, 12, id="directive"),
+    ])
+    def test_out_of_memory_names_the_line_that_set_n(self, tmp_path, monkeypatch, text, line,
+                                                     n):
+        def build(count, edges, attributes=None):
+            raise MemoryError(f"Unable to allocate {count + 1} entries")
+
+        monkeypatch.setattr(AttributedGraph, "build", staticmethod(build))
+        path = _write(tmp_path, "e.txt", text)
+        with pytest.raises(ParseError, match=rf"e\.txt:{line}: cannot hold {n} nodes: "
+                                             rf"Unable to allocate {n + 1} entries$"):
+            load_edge_list(path)
+
 
 class TestTopology:
     def test_neighbors_sorted(self):

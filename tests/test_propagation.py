@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from linkpred import propagation
 from linkpred import (AttributedGraph, ConfigError, PropagationConfig, matrix_form_step,
                       randwalk_solve, similarity_matrix, transmission_weights)
 from _helpers import adjacency_sets, make_gnp
@@ -258,6 +260,43 @@ class TestMultiTileSweep:
             expected = oracle_dense_sweep(expected, dense, dense, 0.8)
         assert np.abs(swept - expected).max() < 1e-12
         assert np.array_equal(swept, swept.T)
+
+
+class TestWorkingSet:
+    def test_sweep_loop_holds_three_and_a_half_arrays(self, monkeypatch):
+        """The sweep loop holds the two iterates, the upper tiles of D/c and one
+        sparse-product output at a time: 3.5 n' x n' arrays, plus the half of
+        each diagonal tile that D/c keeps (at most n' * tile / 2 floats) and
+        one tile of scratch. A separate transposed operand and a full D/c
+        would make it 5 arrays."""
+        peaks = []
+
+        class TracedSweep(propagation._TiledSweep):
+            # the peak counts from the sweep's construction: the similarity
+            # phase before it and the scatter into the n x n result after the
+            # last sweep are not the loop's
+            def __init__(self, *args):
+                tracemalloc.reset_peak()
+                super().__init__(*args)
+
+            def __call__(self, scores, out):
+                delta = super().__call__(scores, out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                return delta
+
+        monkeypatch.setattr(propagation, "_TiledSweep", TracedSweep)
+        g = _sparse_graph(603, seed=5)
+        active = int(np.count_nonzero(g.degrees))
+        assert active > 2 * propagation._TILE
+        tracemalloc.start()
+        try:
+            randwalk_solve(g, PropagationConfig(max_iterations=2))
+        finally:
+            tracemalloc.stop()
+        tile = propagation._TILE
+        budget = 8 * (3.5 * active ** 2 + active * tile / 2 + tile ** 2)
+        # O(n') for the sparse operands and numpy's fixed-size ufunc buffers
+        assert max(peaks) < budget + 1024 * active
 
 
 def _isolated_node_graph(kind: str) -> AttributedGraph:
