@@ -13,7 +13,7 @@ from .evaluation import (METHOD_NAMES, TIE_TOLERANCE, AucResult, EvalReport,
                          auc_sampled, canonical_method, format_report, run_experiment,
                          score_method, split_probe)
 from .graph import (AttributedGraph, load_attributes, load_edge_list, save_attributes,
-                    save_edge_list, write_id_map)
+                    save_edge_list)
 from .netstats import (NetStatsRow, assortativity, avg_degree, clustering_coefficient,
                        components, efficiency, format_stats,
                        generate_planted_attribute_graph, stats_report)
@@ -32,5 +32,5 @@ __all__ = [
     "generate_planted_attribute_graph", "katz_index", "load_attributes", "load_edge_list",
     "local_index", "lp_index", "matrix_form_step", "randwalk_solve", "run_experiment",
     "save_attributes", "save_edge_list", "score_method", "similarity_matrix",
-    "split_probe", "stats_report", "transmission_weights", "write_id_map",
+    "split_probe", "stats_report", "transmission_weights",
 ]

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .evaluation import (METHOD_NAMES, ExperimentConfig, _check_dataset_label,
                          canonical_method, format_report, run_experiment, score_method)
 from .graph import (_read_lines, load_attributes, load_edge_list, nonedge_mask,
-                    save_attributes, save_edge_list, write_id_map)
+                    save_attributes, save_edge_list)
 from .netstats import format_stats, generate_planted_attribute_graph, stats_report
 from .propagation import PropagationConfig, similarity_matrix
 
@@ -67,7 +67,6 @@ OPTIONS = {
     "timing": (False, _parse_bool, "record measured wall-clock in the report (not reproducible)"),
     "dump_sim": (None, str, "write the similarity matrix as CSV"),
     "dump_scores": (None, str, "write the full score matrix as CSV"),
-    "id_map": (None, str, "write original_id,dense_index CSV"),
     "dataset": (None, str, "dataset label (edges file stem if unset)"),
     "n": (200, int, "node count"),
     "groups": (4, int, "planted groups, one attribute each"),
@@ -148,23 +147,13 @@ def _require_file(path, flag: str):
     return path
 
 
-def _indexing(opts: dict) -> str:
-    return "one" if opts.get("one_based") else "zero"
-
-
 def _load_graph(opts: dict):
-    indexing = _indexing(opts)
+    indexing = "one" if opts.get("one_based") else "zero"
     graph = load_edge_list(_require_file(opts.get("edges"), "--edges"), indexing=indexing)
     if opts.get("attrs"):
         graph = load_attributes(_require_file(opts["attrs"], "--attrs"), graph,
                                 indexing=indexing)
     return graph
-
-
-def _write_id_map(opts: dict, graph) -> None:
-    # written with a command's other outputs, so a failing command writes none
-    if opts.get("id_map"):
-        write_id_map(opts["id_map"], graph.n, _indexing(opts))
 
 
 def _experiment_config(opts: dict) -> ExperimentConfig:
@@ -222,7 +211,6 @@ def cmd_predict(opts: dict) -> int:
     if opts.get("dump_sim") and graph.attr_dim == 0:
         raise ConfigError("--dump-sim: graph has no attributes loaded")
     scores = score_method(method, graph, cfg)
-    _write_id_map(opts, graph)
     if opts.get("dump_sim"):
         np.savetxt(opts["dump_sim"], similarity_matrix(graph), delimiter=",", fmt="%.12g")
     if opts.get("dump_scores"):
@@ -252,7 +240,6 @@ def cmd_evaluate(opts: dict) -> int:
     _check_dataset_label(dataset)
     graph = _load_graph(opts)
     report = run_experiment(graph, methods, cfg, repetitions=opts["reps"], dataset=dataset)
-    _write_id_map(opts, graph)
     text = format_report(report, timing=opts["timing"])
     sys.stdout.write(text)
     if opts.get("out"):
@@ -267,7 +254,6 @@ def cmd_evaluate(opts: dict) -> int:
 def cmd_stats(opts: dict) -> int:
     graph = _load_graph(opts)
     text = format_stats(stats_report(graph)) + "\n"
-    _write_id_map(opts, graph)
     sys.stdout.write(text)
     if opts.get("out"):
         _write_text(opts["out"], text)
@@ -291,13 +277,13 @@ def cmd_generate(opts: dict) -> int:
 _COMMANDS = {
     "predict": (cmd_predict, "rank non-edges of a graph by link score",
                 ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "top_k",
-                 "dump_sim", "dump_scores", "id_map", "one_based", "lp_epsilon", "katz_beta")),
+                 "dump_sim", "dump_scores", "one_based", "lp_epsilon", "katz_beta")),
     "evaluate": (cmd_evaluate, "repeated-split AUC comparison of methods",
                  ("edges", "attrs", "out", "method", "c", "tol", "max_iter", "split",
-                  "reps", "seed", "auc", "auc_samples", "timing", "dataset", "id_map",
+                  "reps", "seed", "auc", "auc_samples", "timing", "dataset",
                   "one_based", "lp_epsilon", "katz_beta")),
     "stats": (cmd_stats, "print the network-statistics row",
-              ("edges", "attrs", "out", "id_map", "one_based")),
+              ("edges", "attrs", "out", "one_based")),
     "generate": (cmd_generate, "write a synthetic attributed graph",
                  ("n", "groups", "p_in", "p_out", "attr_noise", "seed",
                   "out_edges", "out_attrs")),

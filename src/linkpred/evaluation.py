@@ -227,7 +227,7 @@ def auc_exact(scores: ScoreMatrix, probe: np.ndarray, train_graph: AttributedGra
 def _check_dataset_label(dataset: str) -> None:
     if any(char in dataset for char in ',"\r\n'):
         raise ConfigError(f"dataset label {dataset!r} has a comma, double quote, CR or LF, "
-                          "which the report's CSV records cannot hold; set --dataset")
+                          "which the report's CSV records cannot hold; choose another label")
 
 
 def run_experiment(graph: AttributedGraph, methods: list, cfg: ExperimentConfig,

@@ -22,7 +22,6 @@ plain ASCII: ids and indices are ASCII decimal integers below 2^63, and
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from dataclasses import dataclass, replace
@@ -332,14 +331,3 @@ def save_attributes(graph: AttributedGraph, path) -> None:
         for node in range(graph.n):
             row = " ".join(format(v, ".17g") for v in graph.attributes[node])
             handle.write(f"{node} {row}\n" if graph.attr_dim else f"{node}\n")
-
-
-def write_id_map(path, n: int, indexing: str = "zero") -> None:
-    """Emit the original-id -> dense-index map as a CSV sidecar."""
-    indexing = _check_indexing(indexing)
-    offset = 1 if indexing == "one" else 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["original_id", "dense_index"])
-        for dense in range(n):
-            writer.writerow([dense + offset, dense])

@@ -24,7 +24,6 @@ PUBLIC_NAMES = (
     "matrix_form_step", "randwalk_solve", "run_experiment",
     "save_attributes", "save_edge_list", "score_method", "similarity_matrix",
     "split_probe", "stats_report", "transmission_weights",
-    "write_id_map",
 )
 
 

@@ -353,14 +353,6 @@ class TestStats:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
-    def test_id_map_written(self, tmp_path):
-        edges = tmp_path / "e.txt"
-        edges.write_text("1 2\n2 3\n")
-        id_map = tmp_path / "map.csv"
-        assert main(["stats", "--edges", str(edges), "--one-based",
-                     "--id-map", str(id_map)]) == 0
-        assert id_map.read_text().splitlines()[1] == "1,0"
-
 
 class TestGenerate:
     def test_roundtrip_statistics(self, tmp_path, capsys):
@@ -461,40 +453,79 @@ class TestOptions:
 
     def test_readme_documents_exactly_the_parser_flags(self, capsys):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        flag = r"(?<![\w-])--[a-z][a-z-]*"
         start = text.index("## Command line")
         section = text[start:text.index("\n## ", start)]
-        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        documented = set(re.findall(flag, section))
         if re.search(r"(?<![\w-])-v\b", section):
             documented.add("--verbose")
         parsed = set().union(*(_help_flags(command, capsys) for command in cli._COMMANDS))
-        assert documented - parsed == set()
         assert parsed - documented == set()
+        # a flag named in this section or any later one, file formats included
+        assert set(re.findall(flag, text[start:])) - parsed == set()
 
-    # "@name" stands for tmp_path / name; the fixture holds edges.txt and attrs.txt
-    @pytest.mark.parametrize("argv", [
-        ["predict", "--method", "randwalk", "--c", "5", "--attrs", "@attrs.txt"],
-        ["evaluate", "--auc", "bogus", "--attrs", "@attrs.txt"],
-        ["evaluate", "--config", "@init.cfg", "--attrs", "@attrs.txt"],
-        ["evaluate", "--split", "1.5", "--attrs", "@attrs.txt"],
-        ["predict", "--method", "randwalk"],
-        ["evaluate", "--method", "cn", "--reps", "0"],
-        ["evaluate", "--method", "cn,pagerank"],
-        ["predict", "--method", "cn", "--dump-sim", "@s.csv", "--out", "@p.csv"],
-        ["evaluate", "--method", "cn", "--seed", "-1", "--attrs", "@attrs.txt"],
-        ["generate", "--seed", "-1", "--out-edges", "@g_edges.txt",
-         "--out-attrs", "@g_attrs.txt"],
-        *[["evaluate", "--method", "cn", "--reps", "1", "--split", "0.5", "--out", "@r.txt",
-           "--dataset", label] for label in ("a,b\nx", "a,b", 'say "a"', "a\rb")],
-    ])
+    # "@name" stands for tmp_path / name; the fixture holds edges.txt and attrs.txt.
+    # Each case pairs its argv with the stderr text that names its own fault.
+    BAD_VALUES = [
+        (["predict", "--method", "randwalk", "--c", "5", "--attrs", "@attrs.txt"],
+         "attenuation coefficient c must be in (0, 1)"),
+        (["evaluate", "--auc", "bogus", "--attrs", "@attrs.txt"], "auc mode must be"),
+        (["evaluate", "--config", "@init.cfg", "--attrs", "@attrs.txt"],
+         "unknown config key 'init'"),
+        (["evaluate", "--split", "1.5", "--attrs", "@attrs.txt"],
+         "split fraction must be in (0, 1)"),
+        (["predict", "--method", "randwalk"], "error: graph has no attributes loaded"),
+        (["evaluate", "--method", "cn", "--reps", "0"], "--reps must be >= 1"),
+        (["evaluate", "--method", "cn,pagerank"], "unknown method 'pagerank'"),
+        (["predict", "--method", "cn", "--dump-sim", "@s.csv", "--out", "@p.csv"],
+         "--dump-sim: graph has no attributes loaded"),
+        (["evaluate", "--method", "cn", "--seed", "-1", "--attrs", "@attrs.txt"],
+         "master seed must be >= 0"),
+        (["generate", "--seed", "-1", "--out-edges", "@g_edges.txt",
+          "--out-attrs", "@g_attrs.txt"], "error: seed must be >= 0"),
+        *[(["evaluate", "--method", "cn", "--reps", "1", "--split", "0.5", "--out", "@r.txt",
+            "--dataset", label], f"dataset label {label!r}")
+          for label in ("a,b\nx", "a,b", 'say "a"', "a\rb")],
+    ]
+
+    # short ids: the expected texts hold spaces, quotes and line breaks
+    @pytest.mark.parametrize("argv,reason", BAD_VALUES,
+                             ids=[f"argv{i}" for i in range(len(BAD_VALUES))])
     def test_bad_value_fails_before_any_file_is_written(self, triangle_minus_edge, tmp_path,
-                                                         argv):
+                                                         capsys, argv, reason):
         (tmp_path / "init.cfg").write_text("init=identity\n")  # a key that is gone
         if argv[0] != "generate":
-            argv = argv + ["--edges", "@edges.txt", "--id-map", "@m.csv"]
+            argv = argv + ["--edges", "@edges.txt"]
         argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
         assert main(argv) == 1
+        assert reason in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["attrs.txt", "edges.txt",
                                                                    "init.cfg"]
+
+    # no id map: node i is input id i, or i + 1 with --one-based, so a map only restates that
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "stats"])
+    @pytest.mark.parametrize("extra,reason", [
+        pytest.param(["--id-map", "@m.csv"], "unrecognized arguments: --id-map", id="flag"),
+        pytest.param(["--config", "@underscore.cfg"], "unknown config key 'id_map'",
+                     id="config-key"),
+        pytest.param(["--config", "@dash.cfg"], "unknown config key 'id_map'",
+                     id="config-key-dashed"),
+    ])
+    def test_id_map_is_rejected(self, triangle_minus_edge, tmp_path, capsys, command, extra,
+                                reason):
+        (tmp_path / "underscore.cfg").write_text("id_map=m.csv\n")
+        (tmp_path / "dash.cfg").write_text("id-map=m.csv\n")
+        before = sorted(tmp_path.iterdir())
+        argv = [command, "--edges", "@edges.txt", "--attrs", "@attrs.txt", "--out", "@o.txt",
+                *extra]
+        argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's exit for an unknown flag
+            code = exc.code
+        assert code == 1
+        assert reason in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_readme_tour_runs_and_prints_its_stats_row(self, tmp_path, monkeypatch, capsys):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linkpred import (AttributedGraph, ConfigError, ParseError, load_attributes,
-                      load_edge_list, save_attributes, save_edge_list, write_id_map)
+                      load_edge_list, save_attributes, save_edge_list)
 from _helpers import make_gnp
 
 
@@ -295,14 +295,6 @@ class TestLoadAttributes:
         save_attributes(g, path)
         g2 = load_attributes(path, self._graph())
         assert np.array_equal(g2.attributes, g.attributes)
-
-
-def test_id_map(tmp_path):
-    path = tmp_path / "map.csv"
-    write_id_map(path, 3, indexing="one")
-    assert path.read_text().splitlines() == [
-        "original_id,dense_index", "1,0", "2,1", "3,2",
-    ]
 
 
 # Inserted ids stay at or below 10**6: a larger one makes AttributedGraph.build
